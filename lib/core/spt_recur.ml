@@ -23,9 +23,10 @@ type result = {
 }
 
 let default_strip g =
-  let d = Csap_graph.Paths.diameter g in
-  let dn = Csap_graph.Paths.max_neighbor_distance g in
-  max 1 (int_of_float (sqrt (float_of_int (d * dn))))
+  let { Csap_graph.Paths.diameter; max_neighbor; _ } =
+    Csap_graph.Paths.extrema g
+  in
+  max 1 (int_of_float (sqrt (float_of_int (diameter * max_neighbor))))
 
 let try_run ?delay ?faults ?reliable ?(comm_budget = max_int) g ~source
     ~strip =

@@ -77,6 +77,43 @@ let random_connected rng n ~extra_edges ~wmax =
   in
   Graph.create ~n (tree_edges @ !extras)
 
+(* The first [len] entries of [Array.init n Fun.id] sorted by
+   [compare keys.(a) keys.(b)] with [Array.sort], without sorting: one
+   pass keeps the [len + 1] smallest keys in an insertion buffer. When
+   those keys are pairwise distinct, the first [len] positions are
+   unique, so any sort agrees on them. Otherwise [Array.sort] (a heap
+   sort, which orders equal keys by its own schedule) is run as is. *)
+let sorted_prefix keys ~len =
+  let n = Array.length keys in
+  let len = min len n in
+  let cap = min (len + 1) n in
+  let ks = Array.make cap 0.0 and ids = Array.make cap 0 in
+  let size = ref 0 in
+  for j = 0 to n - 1 do
+    let kj = keys.(j) in
+    if !size < cap || kj < ks.(cap - 1) then begin
+      let p = ref (if !size < cap then !size else cap - 1) in
+      if !size < cap then incr size;
+      while !p > 0 && ks.(!p - 1) > kj do
+        ks.(!p) <- ks.(!p - 1);
+        ids.(!p) <- ids.(!p - 1);
+        decr p
+      done;
+      ks.(!p) <- kj;
+      ids.(!p) <- j
+    end
+  done;
+  let tie = ref false in
+  for p = 0 to cap - 2 do
+    if ks.(p) = ks.(p + 1) then tie := true
+  done;
+  if !tie then begin
+    let order = Array.init n (fun j -> j) in
+    Array.sort (fun a b -> compare (keys.(a) : float) keys.(b)) order;
+    Array.sub order 0 len
+  end
+  else Array.sub ids 0 len
+
 let random_geometric rng n ~degree ~scale =
   if n < 2 then invalid_arg "Generators.random_geometric: n >= 2 required";
   let xs = Array.init n (fun _ -> Rng.float rng) in
@@ -89,12 +126,13 @@ let random_geometric rng n ~degree ~scale =
     max 1 (int_of_float (Float.round (scale *. sqrt (dist2 i j))))
   in
   let existing = Hashtbl.create (n * degree) in
-  let edges = ref [] in
+  let edges = ref [] and m = ref 0 in
   let add i j =
     let u, v = if i < j then (i, j) else (j, i) in
     if u <> v && not (Hashtbl.mem existing (u, v)) then begin
       Hashtbl.replace existing (u, v) ();
-      edges := (u, v, weight u v) :: !edges
+      edges := (u, v, weight u v) :: !edges;
+      incr m
     end
   in
   (* Connectivity backbone: Euclidean MST via Prim on the complete graph. *)
@@ -122,16 +160,27 @@ let random_geometric rng n ~degree ~scale =
       end
     done
   done;
-  (* Local links: each vertex connects to its nearest neighbours until the
-     requested average degree is reached. *)
+  (* Local links: round k connects each vertex to its k-th nearest
+     neighbour (position 0 of the distance order is the vertex itself),
+     until the requested average degree is reached. [near.(i)] holds the
+     first [len] positions of vertex i's order; it is re-selected with
+     [len] doubled when the rounds outgrow it. *)
   let target_edges = max (n - 1) (n * degree / 2) in
+  let keys = Array.make n 0.0 in
+  let near = Array.make n [||] and len = ref 0 in
   let k = ref 1 in
-  while List.length !edges < target_edges && !k < n - 1 do
+  while !m < target_edges && !k < n - 1 do
+    if !k >= !len then begin
+      len := min n (max (2 * !len) (degree + 2));
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          keys.(j) <- dist2 i j
+        done;
+        near.(i) <- sorted_prefix keys ~len:!len
+      done
+    end;
     for i = 0 to n - 1 do
-      let order = Array.init n (fun j -> j) in
-      Array.sort (fun a b -> compare (dist2 i a) (dist2 i b)) order;
-      (* order.(0) = i itself; link to the !k-th nearest neighbour. *)
-      if !k < n then add i order.(!k)
+      add i near.(i).(!k)
     done;
     incr k
   done;

@@ -36,8 +36,24 @@ val random_connected : Rng.t -> int -> extra_edges:int -> wmax:int -> Graph.t
     average degree reaches [degree], adds a Euclidean-MST backbone so the
     result is connected, and weights each edge by
     [max 1 (round (scale * euclidean distance))]. A WAN-like family: edge
-    weight correlates with geometric length. *)
+    weight correlates with geometric length.
+
+    O(n{^2}) time: an O(n{^2}) Prim backbone, then each vertex's nearest
+    neighbours are picked by one {!sorted_prefix} pass over the other
+    vertices, repeated with a doubled prefix in the rare case the degree
+    rounds outrun it. The edges (and their ids) are those of linking each
+    vertex, in round k, to position k of its [Array.sort]ed distance
+    order. *)
 val random_geometric : Rng.t -> int -> degree:int -> scale:float -> Graph.t
+
+(** [sorted_prefix keys ~len] is the first [min len n] entries of
+    [Array.init n Fun.id] sorted with
+    [Array.sort (fun a b -> compare keys.(a) keys.(b))], where
+    [n = Array.length keys]. One O(n len) selection pass when the
+    [len + 1] smallest keys are pairwise distinct; otherwise the full
+    [Array.sort], since equal keys are ordered by the sort's own
+    schedule. The k-nearest step of {!random_geometric}. *)
+val sorted_prefix : float array -> len:int -> int array
 
 (** [lollipop clique_n path_n ~w] is a clique with a path tail. *)
 val lollipop : int -> int -> w:int -> Graph.t

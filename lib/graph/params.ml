@@ -8,10 +8,10 @@ type t = {
   w_max : int;
 }
 
-(* Computing the parameters costs n Dijkstras plus an MST; the benchmark
-   harness asks for them once per table row on the same instance. Memoize
-   per graph identity ({!Graph.id}), behind a mutex so the parallel bench
-   harness's domains can share the cache. The compute itself runs outside
+(* Computing the parameters costs one [Paths.extrema] plus an MST; the
+   benchmark harness asks for them once per table row on the same
+   instance. Memoize per graph identity ({!Graph.id}), behind a mutex so
+   the parallel bench harness's domains can share the cache. The compute itself runs outside
    the lock: two domains racing on the same graph both compute the same
    pure value, and one insert wins.
 

@@ -18,15 +18,16 @@ type t = {
   w_max : int;
 }
 
-(** Compute every parameter; requires a connected graph. O(n m log n) the
-    first time; results are memoized per graph instance (keyed by
-    {!Graph.id}), so repeated calls on the same graph — one per benchmark
-    row — are O(1).
+(** Compute every parameter; requires a connected graph. The first call
+    costs one {!Paths.extrema} (a data-dependent number of Dijkstras, n
+    at worst) plus an MST; results are memoized per graph instance
+    (keyed by {!Graph.id}), so repeated calls on the same graph — one per
+    benchmark row — are O(1).
 
     The cache is domain-safe: lookups and inserts are serialised behind a
-    mutex while the computation itself runs outside the lock, so domains
-    of a {!Csap_pool} sweep or a {!Csap_dsim.Pengine} run may call
-    [compute] concurrently. Two domains racing on the same graph both
+    mutex while the computation itself runs outside the lock, so the
+    bench harness's worker domains or a {!Csap_dsim.Pengine} run may
+    call [compute] concurrently. Two domains racing on the same graph both
     compute the same pure result and the second insert is a no-op
     (asserted by a multi-domain stress test).
 

@@ -181,139 +181,168 @@ type extrema = {
   max_neighbor : int;
 }
 
-(* Per-source summaries of one Dijkstra, shared by the sequential and the
-   pool-sharded sweeps so both reduce the very same numbers. *)
-let source_summaries g ~src ~dist =
-  let ecc = Array.fold_left max 0 dist in
-  let local_max = ref 0 in
-  Graph.iter_neighbors g src (fun u _ _ ->
-      if dist.(u) > !local_max then local_max := dist.(u));
-  (ecc, !local_max)
+(* Diameter, radius and centre by bounding eccentricities, after Takes &
+   Kosters' BoundingDiameters (2011). Every vertex w carries bounds
+   lo.(w) <= ecc(w) <= hi.(w). A Dijkstra from a pivot v of
+   eccentricity e tightens them for every w at distance d from v:
+   ecc(w) >= max d (e - d) and ecc(w) <= e + d, by the triangle
+   inequality.
 
-(* The deterministic reduction over per-source summaries, in source
-   order — shared by both sweeps, so the parallel result is bit-identical
-   to the sequential one (the centre is the smallest vertex attaining the
-   radius either way). *)
-let reduce_extrema ~ecc ~local_max =
-  let n = Array.length ecc in
-  let diameter = ref 0 in
-  let radius = ref max_int and center = ref 0 in
-  let max_neighbor = ref 0 in
-  for v = 0 to n - 1 do
-    if ecc.(v) > !diameter then diameter := ecc.(v);
-    if ecc.(v) < !radius then begin
-      radius := ecc.(v);
-      center := v
-    end;
-    if local_max.(v) > !max_neighbor then max_neighbor := local_max.(v)
+   [d_lo] = max lo bounds the diameter from below; [r_hi] = min hi
+   bounds the radius from above, and [center] is the smallest vertex
+   with hi = r_hi. A candidate is finished once it is exact (lo = hi)
+   or can change neither result: hi <= d_lo, so it cannot raise the
+   diameter, and lo > r_hi (or lo = r_hi with an id above [center]), so
+   it can neither lower the radius nor win the smallest-id centre
+   tie-break. Bounds only tighten, so a finished vertex stays finished.
+   With no candidate left, D = d_lo, R = r_hi and [center] is the
+   smallest vertex attaining R (DESIGN.md §18 has the argument).
+
+   Pivots alternate between the candidate with the largest hi and the
+   one with the smallest lo, ties to the smallest id. A pivot is exact
+   after its own Dijkstra, so the worst case is n Dijkstras — reached
+   on vertex-transitive graphs, where every bound stays loose.
+
+   Each pivot's Dijkstra also gives the exact distance to its
+   neighbours; their maximum seeds [max_neighbor_pass]. *)
+let bounded_eccentricities g ~dist ~parent heap =
+  let n = Graph.n g in
+  let lo = Array.make n 0 and hi = Array.make n max_int in
+  let cand = Array.init n Fun.id and live = ref n in
+  let d_lo = ref 0 and r_hi = ref max_int and center = ref 0 in
+  let seed_d = ref 0 in
+  let high = ref true in
+  while !live > 0 do
+    let v = ref cand.(0) in
+    for i = 1 to !live - 1 do
+      let w = cand.(i) in
+      if (!high && hi.(w) > hi.(!v)) || ((not !high) && lo.(w) < lo.(!v))
+      then v := w
+    done;
+    high := not !high;
+    dijkstra_into g ~src:!v ~dist ~parent heap;
+    let e = Array.fold_left Int.max 0 dist in
+    Graph.iter_neighbors g !v (fun u _ _ ->
+        if dist.(u) > !seed_d then seed_d := dist.(u));
+    for w = 0 to n - 1 do
+      let d = dist.(w) in
+      lo.(w) <- Int.max lo.(w) (Int.max d (e - d));
+      hi.(w) <- Int.min hi.(w) (e + d);
+      if lo.(w) > !d_lo then d_lo := lo.(w);
+      if hi.(w) < !r_hi || (hi.(w) = !r_hi && w < !center) then begin
+        r_hi := hi.(w);
+        center := w
+      end
+    done;
+    (* Stable compaction keeps [cand] in id order, so the strict
+       comparisons above break pivot ties toward the smallest id. *)
+    let kept = ref 0 in
+    for i = 0 to !live - 1 do
+      let w = cand.(i) in
+      let finished =
+        lo.(w) = hi.(w)
+        || hi.(w) <= !d_lo
+           && (lo.(w) > !r_hi || (lo.(w) = !r_hi && w > !center))
+      in
+      if not finished then begin
+        cand.(!kept) <- w;
+        incr kept
+      end
+    done;
+    live := !kept
   done;
-  {
-    diameter = !diameter;
-    radius = !radius;
-    center = !center;
-    max_neighbor = !max_neighbor;
-  }
+  (!d_lo, !r_hi, !center, !seed_d)
 
-(* One sweep of n Dijkstras, reusing the distance/parent buffers and the
-   heap, yields every all-sources distance parameter at once. Kept as
-   the sequential oracle for the pool-sharded [extrema]. *)
-let extrema_seq g =
+(* [dist(src, dst)] for an edge {src, dst} of weight [bound], or some
+   value <= [floor] once the distance is known not to exceed it. Vertices
+   no closer than the current bound on [dist(src, dst)] are never queued
+   (weights are >= 1, so no shortest path to [dst] runs through them),
+   and the search stops when the queue's minimum reaches that bound.
+   [dist] must be all [max_int] on entry and is restored on exit; the
+   [touched] stack records what to reset. *)
+let edge_distance g ~src ~dst ~bound ~floor ~dist ~touched heap =
+  let off = Graph.csr_offsets g in
+  let nbr = Graph.csr_neighbors g in
+  let wt = Graph.csr_weights g in
+  let count = ref 0 in
+  let set v d =
+    if dist.(v) = max_int then begin
+      touched.(!count) <- v;
+      incr count
+    end;
+    dist.(v) <- d
+  in
+  Indexed_heap.clear heap;
+  set src 0;
+  set dst bound;
+  Indexed_heap.insert heap src 0;
+  let rec loop () =
+    let u = Indexed_heap.pop_min heap in
+    if u >= 0 && dist.(u) < dist.(dst) && dist.(dst) > floor then begin
+      let du = dist.(u) in
+      for i = off.(u) to off.(u + 1) - 1 do
+        let v = nbr.(i) in
+        let dv = du + wt.(i) in
+        if dv < dist.(v) && dv < dist.(dst) then begin
+          set v dv;
+          if v <> dst then Indexed_heap.push heap v dv
+        end
+      done;
+      loop ()
+    end
+  in
+  loop ();
+  let d = dist.(dst) in
+  for i = 0 to !count - 1 do
+    dist.(touched.(i)) <- max_int
+  done;
+  d
+
+(* The paper's d = max over edges {u, v} of dist(u, v). As
+   dist(u, v) <= w(u, v), only edges heavier than the best d so far can
+   raise it: they are taken by decreasing weight and the pass stops at
+   the first one no heavier than [best]. *)
+let max_neighbor_pass g ~seed ~dist heap =
+  let n = Graph.n g in
+  let edges = Graph.edges g in
+  let heavy =
+    Array.of_list
+      (Array.fold_left
+         (fun acc (e : Graph.edge) -> if e.w > seed then e :: acc else acc)
+         [] edges)
+  in
+  Array.sort (fun (a : Graph.edge) (b : Graph.edge) -> compare b.w a.w) heavy;
+  Array.fill dist 0 n max_int;
+  let touched = Array.make n 0 in
+  let best = ref seed and i = ref 0 in
+  while !i < Array.length heavy && heavy.(!i).w > !best do
+    let e = heavy.(!i) in
+    let d =
+      edge_distance g ~src:e.u ~dst:e.v ~bound:e.w ~floor:!best ~dist
+        ~touched heap
+    in
+    if d > !best then best := d;
+    incr i
+  done;
+  !best
+
+let extrema g =
   if not (Graph.is_connected g) then
     invalid_arg "Paths.extrema: graph is disconnected";
   let n = Graph.n g in
   let dist = Array.make n max_int in
   let parent = Array.make n (-1) in
   let heap = Indexed_heap.create n in
-  let ecc = Array.make n 0 in
-  let local_max = Array.make n 0 in
-  for v = 0 to n - 1 do
-    dijkstra_into g ~src:v ~dist ~parent heap;
-    let e, lm = source_summaries g ~src:v ~dist in
-    ecc.(v) <- e;
-    local_max.(v) <- lm
-  done;
-  reduce_extrema ~ecc ~local_max
-
-(* Sources sharded over the domain pool: each worker owns one scratch
-   (dist, parent, heap) triple, every source writes only its own summary
-   slots, and the reduction runs sequentially in source order after the
-   join — so the result is bit-identical whatever the pool's schedule
-   (checked against [extrema_seq] by the qcheck suite). Small sweeps stay
-   on the calling domain: below ~64 sources the Dijkstras are cheaper
-   than spawning. *)
-let parallel_cutoff = 64
-
-let extrema ?pool g =
-  if not (Graph.is_connected g) then
-    invalid_arg "Paths.extrema: graph is disconnected";
-  let n = Graph.n g in
-  let pool =
-    match pool with Some p -> p | None -> Csap_pool.default ()
+  let diameter, radius, center, seed =
+    bounded_eccentricities g ~dist ~parent heap
   in
-  if n < parallel_cutoff || Csap_pool.domains pool <= 1 then extrema_seq g
-  else begin
-    let ecc = Array.make n 0 in
-    let local_max = Array.make n 0 in
-    let scratch =
-      Array.init (Csap_pool.domains pool) (fun _ ->
-          (Array.make n max_int, Array.make n (-1), Indexed_heap.create n))
-    in
-    Csap_pool.run pool ~tasks:n (fun ~worker v ->
-        let dist, parent, heap = scratch.(worker) in
-        dijkstra_into g ~src:v ~dist ~parent heap;
-        let e, lm = source_summaries g ~src:v ~dist in
-        ecc.(v) <- e;
-        local_max.(v) <- lm);
-    reduce_extrema ~ecc ~local_max
-  end
+  let max_neighbor = max_neighbor_pass g ~seed ~dist heap in
+  { diameter; radius; center; max_neighbor }
 
-let all_pairs ?pool g =
-  let n = Graph.n g in
-  let pool =
-    match pool with Some p -> p | None -> Csap_pool.default ()
-  in
-  let rows = Array.make n [||] in
-  if n < parallel_cutoff || Csap_pool.domains pool <= 1 then begin
-    let dist = Array.make n max_int in
-    let parent = Array.make n (-1) in
-    let heap = Indexed_heap.create n in
-    for v = 0 to n - 1 do
-      dijkstra_into g ~src:v ~dist ~parent heap;
-      rows.(v) <- Array.copy dist
-    done
-  end
-  else begin
-    let scratch =
-      Array.init (Csap_pool.domains pool) (fun _ ->
-          (Array.make n max_int, Array.make n (-1), Indexed_heap.create n))
-    in
-    Csap_pool.run pool ~tasks:n (fun ~worker v ->
-        let dist, parent, heap = scratch.(worker) in
-        dijkstra_into g ~src:v ~dist ~parent heap;
-        rows.(v) <- Array.copy dist)
-  end;
-  rows
-
-let diameter g =
-  if not (Graph.is_connected g) then
-    invalid_arg "Paths.diameter: graph is disconnected";
-  (extrema g).diameter
+let diameter g = (extrema g).diameter
 
 let radius_and_center g =
-  if not (Graph.is_connected g) then
-    invalid_arg "Paths.radius_and_center: graph is disconnected";
   let e = extrema g in
   (e.radius, e.center)
 
-let max_neighbor_distance g =
-  let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let heap = Indexed_heap.create n in
-  let best = ref 0 in
-  for v = 0 to n - 1 do
-    dijkstra_into g ~src:v ~dist ~parent heap;
-    Graph.iter_neighbors g v (fun u _ _ ->
-        if dist.(u) > !best then best := dist.(u))
-  done;
-  !best
+let max_neighbor_distance g = (extrema g).max_neighbor

@@ -41,47 +41,42 @@ val dist : Graph.t -> int -> int -> int
 (** Weighted eccentricity of a vertex. *)
 val eccentricity : Graph.t -> int -> int
 
-(** Every all-sources distance parameter, from one sweep of [n] Dijkstras
-    sharing their buffers. *)
+(** Every all-sources distance parameter of a connected graph. *)
 type extrema = {
   diameter : int;  (** the paper's script-D *)
   radius : int;  (** [min_v Rad(v, G)] *)
-  center : int;  (** a vertex attaining the radius *)
+  center : int;  (** the smallest vertex attaining the radius *)
   max_neighbor : int;  (** the paper's [d] *)
 }
 
-(** [extrema g] computes diameter, radius/centre and [d] from an
-    all-sources sweep — the back-end of {!diameter},
-    {!radius_and_center} and the memoized [Params.compute]. Requires a
-    connected graph. O(n (m + n) log n) work.
+(** [extrema g] computes diameter, radius/centre and [d] exactly — the
+    back-end of {!diameter}, {!radius_and_center},
+    {!max_neighbor_distance} and the memoized [Params.compute]. Raises
+    [Invalid_argument] when [g] is disconnected.
 
-    The n source Dijkstras are sharded across [pool] (default:
-    {!Csap_pool.default}) with per-domain scratch buffers; each source
-    writes its own summary slot and the reduction runs sequentially in
-    source order, so the result is bit-identical to {!extrema_seq}
-    whatever the pool's schedule. Sweeps below ~64 sources, pools of one
-    domain, and calls from inside a pool worker all run sequentially on
-    the calling domain. *)
-val extrema : ?pool:Csap_pool.t -> Graph.t -> extrema
+    Diameter, radius and centre come from bounding eccentricities
+    (Takes & Kosters' BoundingDiameters): each Dijkstra from a pivot
+    tightens a lower and an upper eccentricity bound on every vertex,
+    and vertices whose bounds can no longer change any result drop out.
+    [d] comes from a second pass over the edges by decreasing weight,
+    each resolved by a Dijkstra truncated at the edge's weight, stopping
+    at the first edge no heavier than the best [d] so far. The result
+    equals an all-sources sweep's on every graph; the number of
+    Dijkstras is data-dependent — a handful on grids and geometric
+    graphs, a few hundred on random graphs of thousands of vertices, and
+    n (each O((m + n) log n)) in the worst case, on vertex-transitive
+    graphs such as cycles and uniform complete graphs. *)
+val extrema : Graph.t -> extrema
 
-(** The sequential sweep, kept as the oracle the parallel {!extrema} is
-    property-tested against. *)
-val extrema_seq : Graph.t -> extrema
-
-(** [all_pairs g] is the full distance matrix: row [v] holds
-    [dist(v, u)] for every [u], [max_int] when unreachable. Rows are
-    computed by the same pool-sharded Dijkstra sweep as {!extrema};
-    row [v] is identical to [(dijkstra g ~src:v).dist] regardless of
-    schedule. *)
-val all_pairs : ?pool:Csap_pool.t -> Graph.t -> int array array
-
-(** Weighted diameter [Diam(G)]; the paper's script-D. Requires a connected
-    graph. O(n (m + n) log n). *)
+(** Weighted diameter [Diam(G)]; the paper's script-D.
+    [(extrema g).diameter]. *)
 val diameter : Graph.t -> int
 
-(** Weighted radius [min_v Rad(v, G)] and a centre vertex attaining it. *)
+(** Weighted radius [min_v Rad(v, G)] and the smallest vertex attaining
+    it; the [radius] and [center] of {!extrema}. *)
 val radius_and_center : Graph.t -> int * int
 
 (** The paper's [d = max_{(u,v) in E} dist(u,v)]: the largest weighted
-    distance between two *neighbouring* vertices. Always [<= W]. *)
+    distance between two *neighbouring* vertices. Always [<= W].
+    [(extrema g).max_neighbor], so it requires a connected graph. *)
 val max_neighbor_distance : Graph.t -> int

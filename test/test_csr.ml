@@ -1,8 +1,7 @@
-(* The CSR adjacency layout and the pool-sharded all-sources sweeps,
-   checked against naive oracles: the flat rows must list exactly the
-   incident edges of [Graph.edges] in per-vertex edge-id order, and the
-   parallel [Paths.extrema] / [all_pairs] must be bit-identical to their
-   sequential counterparts whatever the pool's schedule. *)
+(* The CSR adjacency layout, checked against naive oracles: the flat
+   rows must list exactly the incident edges of [Graph.edges] in
+   per-vertex edge-id order, and the flat-row Dijkstra must match the
+   tuple-row one. *)
 
 module G = Csap_graph.Graph
 module P = Csap_graph.Paths
@@ -112,53 +111,10 @@ let prop_dijkstra_matches_tuple =
       let a = P.dijkstra g ~src and b = P.dijkstra_tuple g ~src in
       a.P.dist = b.P.dist && a.P.parent = b.P.parent)
 
-(* Seeded instances above [Paths]'s sequential cutoff, so the parallel
-   sharding genuinely runs; a pool wider than the sweep's task count
-   never exists, but 3 domains on >= 64 sources exercises stealing. *)
-let big_graph seed =
-  Gen.random_connected (Csap_graph.Rng.create seed) 96 ~extra_edges:160
-    ~wmax:24
-
-let test_parallel_extrema_matches_seq () =
-  let pool = Csap_pool.create ~domains:3 () in
-  List.iter
-    (fun seed ->
-      let g = big_graph seed in
-      let seq = P.extrema_seq g and par = P.extrema ~pool g in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d" seed)
-        true (seq = par))
-    [ 1; 2; 3; 4; 5 ]
-
-let test_parallel_all_pairs_matches_dijkstra () =
-  let pool = Csap_pool.create ~domains:3 () in
-  let g = big_graph 11 in
-  let rows = P.all_pairs ~pool g in
-  Alcotest.(check int) "row count" (G.n g) (Array.length rows);
-  List.iter
-    (fun src ->
-      Alcotest.(check bool)
-        (Printf.sprintf "row %d" src)
-        true
-        (rows.(src) = (P.dijkstra g ~src).P.dist))
-    [ 0; 1; G.n g / 2; G.n g - 1 ]
-
-let prop_parallel_extrema_matches_seq =
-  (* Small instances fall under the cutoff (sequential path) — still a
-     valid equality; the seeded family above covers the sharded path. *)
-  QCheck.Test.make ~count:60 ~name:"extrema = extrema_seq"
-    (Gen_qcheck.connected_graph_gen ())
-    (fun g -> P.extrema g = P.extrema_seq g)
-
 let suite =
   [
     Alcotest.test_case "layout on named families" `Quick test_layout_families;
     QCheck_alcotest.to_alcotest prop_rows_match_oracle;
     QCheck_alcotest.to_alcotest prop_edge_id_matches_oracle;
     QCheck_alcotest.to_alcotest prop_dijkstra_matches_tuple;
-    Alcotest.test_case "parallel extrema = sequential (3 domains)" `Quick
-      test_parallel_extrema_matches_seq;
-    Alcotest.test_case "parallel all_pairs rows = dijkstra" `Quick
-      test_parallel_all_pairs_matches_dijkstra;
-    QCheck_alcotest.to_alcotest prop_parallel_extrema_matches_seq;
   ]

@@ -73,6 +73,68 @@ let test_random_geometric () =
   check_connected "geometric" g;
   Alcotest.(check bool) "enough edges" true (G.m g >= 39)
 
+(* The selection builder must reproduce the sort-per-round builder edge
+   for edge, ids included; degree 9 forces the nearest-neighbour prefix
+   to be re-selected at a doubled length. *)
+let test_random_geometric_matches_reference () =
+  List.iter
+    (fun (n, cases) ->
+      List.iter
+        (fun (seed, degree, scale) ->
+          let g =
+            Gen.random_geometric (Csap_graph.Rng.create seed) n ~degree ~scale
+          in
+          let r =
+            Reference.random_geometric (Csap_graph.Rng.create seed) n ~degree
+              ~scale
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d seed=%d degree=%d" n seed degree)
+            true
+            (G.edges g = G.edges r))
+        cases)
+    (List.map
+       (fun n ->
+         ( n,
+           [ (1, 4, 40.0); (2, 4, 90.0); (3, 2, 1000.0); (4, 9, 10.0) ] ))
+       [ 2; 3; 16; 64; 257 ]
+    @ [ (1024, [ (5, 4, 40.0) ]) ])
+
+let heap_sorted_prefix keys ~len =
+  let order = Array.init (Array.length keys) Fun.id in
+  Array.sort (fun a b -> compare (keys.(a) : float) keys.(b)) order;
+  Array.sub order 0 (min len (Array.length keys))
+
+(* Equal keys send [sorted_prefix] to its [Array.sort] fallback, whose
+   order among ties is the heap sort's own; distinct keys take the
+   selection pass. Both must give [Array.sort]'s prefix. *)
+let test_sorted_prefix_ties () =
+  List.iter
+    (fun (name, keys, len) ->
+      Alcotest.(check (array int))
+        name
+        (heap_sorted_prefix keys ~len)
+        (Gen.sorted_prefix keys ~len))
+    [
+      ("all equal", Array.make 9 1.0, 4);
+      ("tie at the boundary", [| 0.0; 3.0; 1.0; 2.0; 2.0; 5.0 |], 3);
+      ("tie inside", [| 4.0; 0.0; 1.0; 1.0; 9.0; 2.0; 7.0 |], 4);
+      ("two zeros", [| 0.5; 0.0; 0.25; 0.0; 0.75 |], 2);
+      ("distinct", [| 0.3; 0.1; 0.7; 0.2; 0.9; 0.4 |], 3);
+      ("tie past the prefix", [| 0.1; 0.2; 0.3; 0.3; 0.0 |], 2);
+      ("len beyond n", [| 2.0; 1.0; 2.0 |], 8);
+      ("empty prefix", [| 1.0; 1.0 |], 0);
+    ]
+
+let prop_sorted_prefix_matches_sort =
+  QCheck.Test.make ~count:300 ~name:"sorted_prefix = Array.sort prefix"
+    QCheck.(
+      pair
+        (array_of_size Gen.(int_range 0 40) (map float_of_int (int_bound 12)))
+        (int_bound 45))
+    (fun (keys, len) ->
+      Gen.sorted_prefix keys ~len = heap_sorted_prefix keys ~len)
+
 let test_lollipop () =
   let g = Gen.lollipop 5 4 ~w:2 in
   Alcotest.(check int) "n" 9 (G.n g);
@@ -220,6 +282,11 @@ let suite =
     Alcotest.test_case "random connected" `Quick test_random_connected;
     Alcotest.test_case "determinism" `Quick test_random_connected_deterministic;
     Alcotest.test_case "random geometric" `Quick test_random_geometric;
+    Alcotest.test_case "random geometric = sort-per-round reference" `Quick
+      test_random_geometric_matches_reference;
+    Alcotest.test_case "sorted_prefix ties fall back to Array.sort" `Quick
+      test_sorted_prefix_ties;
+    QCheck_alcotest.to_alcotest prop_sorted_prefix_matches_sort;
     Alcotest.test_case "lollipop" `Quick test_lollipop;
     Alcotest.test_case "lower-bound G_n" `Quick test_lower_bound_gn;
     Alcotest.test_case "lower-bound G_n^i" `Quick test_lower_bound_gn_i;

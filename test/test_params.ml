@@ -100,6 +100,46 @@ let prop_invariants =
     (Gen_qcheck.connected_graph_gen ())
     (fun g -> Params.invariants_hold (Params.compute g))
 
+(* Golden values at scale: the eight run-large benchmark shapes (family,
+   n, w, seed as the benchmark generates them for its seed 5), built
+   through the CLI's [Cell.graph]. The [graph:] lines and the radius and
+   centre were recorded from the all-sources sweep, so this checks the
+   bounded [Paths.extrema] at n = 1-4 k without running the sweep. *)
+let run_large_goldens =
+  [
+    ( ("grid", 4096, 6, 676220),
+      "n=4096 m=8064 E=48384 V=24570 D=756 d=6 W=6", (384, 2015) );
+    ( ("random", 4096, 10, 231497),
+      "n=4096 m=12287 E=67943 V=10369 D=53 d=10 W=10", (27, 3679) );
+    ( ("random", 2048, 7, 161353),
+      "n=2048 m=6143 E=24603 V=4000 D=32 d=7 W=7", (19, 411) );
+    ( ("grid", 2048, 11, 269971),
+      "n=2025 m=3960 E=43560 V=22264 D=968 d=11 W=11", (484, 1012) );
+    ( ("geometric", 1024, 4, 53716),
+      "n=1024 m=2495 E=3062 V=1064 D=65 d=3 W=3", (33, 735) );
+    ( ("random", 2048, 11, 652051),
+      "n=2048 m=6143 E=36403 V=5309 D=47 d=11 W=11", (26, 854) );
+    ( ("grid", 2048, 4, 563981),
+      "n=2025 m=3960 E=15840 V=8096 D=352 d=4 W=4", (176, 1012) );
+    ( ("random", 2048, 7, 862303),
+      "n=2048 m=6143 E=24674 V=3938 D=29 d=7 W=7", (18, 175) );
+  ]
+
+let test_run_large_goldens () =
+  List.iter
+    (fun ((family, n, w, seed), line, (radius, center)) ->
+      let g =
+        Csap_farm.Cell.graph (Csap_farm.Cell.make ~family ~n ~w ~seed "params")
+      in
+      let label = Printf.sprintf "%s n=%d seed=%d" family n seed in
+      Alcotest.(check string)
+        (label ^ " params") line
+        (Format.asprintf "%a" Params.pp (Params.compute g));
+      Alcotest.(check (pair int int))
+        (label ^ " radius, centre") (radius, center)
+        (Csap_graph.Paths.radius_and_center g))
+    run_large_goldens
+
 let suite =
   [
     Alcotest.test_case "path parameters" `Quick test_path_params;
@@ -108,5 +148,7 @@ let suite =
     Alcotest.test_case "d vs W separation" `Quick test_chorded_params;
     Alcotest.test_case "memo cache FIFO eviction" `Quick test_cache_eviction;
     Alcotest.test_case "memo cache is domain-safe" `Quick test_cache_domain_safe;
+    Alcotest.test_case "run-large shapes match golden values" `Quick
+      test_run_large_goldens;
     QCheck_alcotest.to_alcotest prop_invariants;
   ]

@@ -145,7 +145,88 @@ let prop_extrema_consistent =
       e.P.diameter = diameter
       && e.P.radius = radius
       && ecc.(e.P.center) = radius
-      && e.P.max_neighbor = P.max_neighbor_distance g)
+      && e.P.max_neighbor = (Reference.extrema g).P.max_neighbor)
+
+(* One graph of each named family, n in [2, ~300], or a path with
+   chords. Uniform-weight
+   families (path, cycle, star, complete, grid) and small [w] make many
+   vertices tie on eccentricity, exercising the smallest-id centre. *)
+let family_graph (family, n, w, seed) =
+  let rng = Csap_graph.Rng.create seed in
+  let w = 1 + w in
+  match family with
+  | 0 -> ("path", Gen.path n ~w)
+  | 1 -> ("cycle", Gen.cycle (max 3 n) ~w)
+  | 2 -> ("star", Gen.star n ~w)
+  | 3 -> ("complete", Gen.complete (min n 64) ~w)
+  | 4 ->
+    let rows = 1 + (seed mod 16) in
+    ("grid", Gen.grid rows (max 2 (n / rows)) ~w)
+  | 5 ->
+    ( "random",
+      Gen.random_connected rng n ~extra_edges:(seed mod (2 * n)) ~wmax:w )
+  | 6 ->
+    ( "geometric",
+      Gen.random_geometric rng n ~degree:(2 + (seed mod 5))
+        ~scale:(float_of_int (4 * w)) )
+  | 7 -> ("gn", Gen.lower_bound_gn (max 4 n) ~x:(2 + (w mod 5)))
+  | 8 -> ("chorded", Gen.chorded_cycle (max 5 n) ~chord_w:w)
+  | 9 -> ("bkj", Gen.bkj_star_cycle (max 3 (n - 1)) ~heavy:w)
+  | _ ->
+    (* A light path with heavy random chords, most of them bypassed:
+       d is set by some chord's detour, which only the edge pass of
+       [extrema] can find. *)
+    let seen = Hashtbl.create n in
+    let chords = ref [] in
+    for _ = 1 to 1 + (n / 4) do
+      let u = Csap_graph.Rng.int rng n and v = Csap_graph.Rng.int rng n in
+      let u, v = (min u v, max u v) in
+      if v > u + 1 && not (Hashtbl.mem seen (u, v)) then begin
+        Hashtbl.replace seen (u, v) ();
+        chords := (u, v, Csap_graph.Rng.int_in rng 1 (50 * w)) :: !chords
+      end
+    done;
+    let path = List.init (n - 1) (fun i -> (i, i + 1, 1 + (i mod 3))) in
+    ("path+chords", G.create ~n (path @ !chords))
+
+let family_graph_gen =
+  let open QCheck in
+  make
+    ~print:(fun spec ->
+      let name, g = family_graph spec in
+      Format.asprintf "%s: %a" name G.pp g)
+    Gen.(
+      quad (int_bound 10)
+        (map (fun n -> 2 + n) (int_bound 298))
+        (oneof [ int_bound 2; int_bound 40 ])
+        (int_bound 1_000_000))
+
+let prop_extrema_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"extrema = all-sources reference on every family"
+    family_graph_gen
+    (fun spec ->
+      let _, g = family_graph spec in
+      P.extrema g = Reference.extrema g)
+
+let test_extrema_disconnected () =
+  let g = G.create ~n:4 [ (0, 1, 2); (2, 3, 1) ] in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Paths.extrema: graph is disconnected") f)
+    [
+      ("extrema", fun () -> ignore (P.extrema g));
+      ("diameter", fun () -> ignore (P.diameter g));
+      ("radius_and_center", fun () -> ignore (P.radius_and_center g));
+      ("max_neighbor_distance", fun () -> ignore (P.max_neighbor_distance g));
+    ]
+
+let test_extrema_single_vertex () =
+  let e = P.extrema (G.create ~n:1 []) in
+  Alcotest.(check (list int))
+    "diameter, radius, center, d" [ 0; 0; 0; 0 ]
+    [ e.P.diameter; e.P.radius; e.P.center; e.P.max_neighbor ]
 
 let suite =
   [
@@ -162,6 +243,11 @@ let suite =
     Alcotest.test_case "pairwise dist" `Quick test_dist;
     QCheck_alcotest.to_alcotest prop_dijkstra_matches_lazy;
     QCheck_alcotest.to_alcotest prop_extrema_consistent;
+    QCheck_alcotest.to_alcotest prop_extrema_matches_reference;
+    Alcotest.test_case "extrema rejects disconnected" `Quick
+      test_extrema_disconnected;
+    Alcotest.test_case "extrema on one vertex" `Quick
+      test_extrema_single_vertex;
     QCheck_alcotest.to_alcotest prop_dijkstra_vs_bellman_ford;
     QCheck_alcotest.to_alcotest prop_triangle_inequality;
     QCheck_alcotest.to_alcotest prop_spt_depth_is_distance;
