@@ -1,19 +1,19 @@
 (* Bechamel micro-benchmarks: per-operation cost (with OLS fit) of the
    sequential kernels behind each figure — one Test.make per table —
-   plus before/after pairs for the hot-path work: Engine.send's edge
-   lookup (adjacency scan vs the graph's sorted index) and the
-   all-sources diameter (lazy-deletion tuple heap vs the indexed heap
-   with decrease_key). Always run on the main domain. *)
-
-(* The boxed event queue is benchmarked here on purpose — it is the
-   "before" half of the send-path pair. *)
-[@@@alert "-boxed_oracle"]
+   plus before/after pairs for the hot-path work. The "before" sides
+   are the slow references of the [csap_reference] test library: the
+   boxed reference simulator (with and without the original adjacency
+   scan for its edge lookup), the lazy-deletion and tuple-row
+   Dijkstras, and the all-sources extrema sweep. Always run on the
+   main domain. *)
 
 open Bechamel
 
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 module E = Csap_dsim.Engine
+module Sim = Csap_reference.Sim
+module Graph_ref = Csap_reference.Graph_ref
 
 let graph =
   lazy
@@ -32,10 +32,8 @@ let sparse256 =
     (Gen.random_connected (Csap_graph.Rng.create 9) 256 ~extra_edges:512
        ~wmax:32)
 
-(* Instances for the later before/after pairs: the CSR relaxation scan
-   (flat rows vs boxed tuples) at n = 256, the all-sources extrema at
-   n = 512 (n Dijkstras vs bounding eccentricities), and the engine
-   reset-vs-recreate multi-seed trial loop. *)
+(* The all-sources extrema pair runs at n = 512 (n Dijkstras vs bounding
+   eccentricities). *)
 let sparse512 =
   lazy
     (Gen.random_connected (Csap_graph.Rng.create 13) 512 ~extra_edges:1024
@@ -44,82 +42,52 @@ let sparse512 =
 type msg = Wave
 
 (* A bare flood (no tree bookkeeping): ~2 sends per edge, so the run cost
-   is the per-message hot path — Engine.send's edge lookup plus two event
-   queue operations. [lookup]/[queue] select the historical or the
-   optimised implementation of each. *)
-let flood_with lookup queue g =
-  let n = G.n g in
-  let eng = E.create ~edge_lookup:lookup ~event_queue:queue g in
-  let reached = Array.make n false in
-  let forward v ~except =
-    G.iter_neighbors g v (fun u _ _ ->
-        if u <> except then E.send eng ~src:v ~dst:u Wave)
-  in
-  for v = 0 to n - 1 do
-    E.set_handler eng v (fun ~src Wave ->
-        if not reached.(v) then begin
-          reached.(v) <- true;
-          forward v ~except:src
-        end)
-  done;
-  E.schedule eng ~delay:0.0 (fun () ->
-      reached.(0) <- true;
-      forward 0 ~except:(-1));
-  ignore (E.run eng)
-
-(* The reset-vs-recreate trial loop: [trials] floods over the same graph
-   under per-trial seeded delays. The reset path reuses one engine
-   (rewound between trials); the recreate path rebuilds the O(n + m)
-   engine state every trial — the before/after pair for Engine.reset. *)
-let trials = 8
-
-let flood_trials ~reuse g =
-  let engine = if reuse then Some (Csap.Flood.make_engine g) else None in
-  let acc = ref 0 in
-  for seed = 1 to trials do
-    let delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed) in
-    let r = Csap.Flood.run ~delay ?engine g ~source:0 in
-    acc := !acc + r.Csap.Flood.measures.Csap.Measures.comm
-  done;
-  !acc
-
-(* One-shot allocation gauge for the send path: arm and run a flood
-   once to warm the engine (queue capacity grown, handler tables
-   filled), reset, re-arm, then measure minor-heap bytes across the
-   second run and divide by its message count. With growth pre-paid the
-   quotient is the true per-message footprint of [Engine.send] plus the
-   queue push/pop — ~0 B for the packed SOA queue, ~10 words for the
-   boxed oracle. *)
-let flood_bytes_per_msg queue g =
-  let n = G.n g in
-  let eng = E.create ~edge_lookup:E.Indexed ~event_queue:queue g in
-  let reached = Array.make n false in
-  let forward v ~except =
-    G.iter_neighbors g v (fun u _ _ ->
-        if u <> except then E.send eng ~src:v ~dst:u Wave)
-  in
-  let arm () =
-    Array.fill reached 0 n false;
+   is the per-message hot path — the send's edge lookup plus two event
+   queue operations — on whichever simulator runs it. *)
+module Flood (S : Sim.S) = struct
+  (* Install fresh handlers and the bootstrap timer on [eng]. *)
+  let arm g (eng : msg S.t) =
+    let n = G.n g in
+    let reached = Array.make n false in
+    let forward v ~except =
+      G.iter_neighbors g v (fun u _ _ ->
+          if u <> except then S.send eng ~src:v ~dst:u Wave)
+    in
     for v = 0 to n - 1 do
-      E.set_handler eng v (fun ~src Wave ->
+      S.set_handler eng v (fun ~src Wave ->
           if not reached.(v) then begin
             reached.(v) <- true;
             forward v ~except:src
           end)
     done;
-    E.schedule eng ~delay:0.0 (fun () ->
+    S.schedule eng ~delay:0.0 (fun () ->
         reached.(0) <- true;
         forward 0 ~except:(-1))
-  in
-  arm ();
-  ignore (E.run eng);
-  E.reset eng;
-  arm ();
-  let w0 = Gc.minor_words () in
-  ignore (E.run eng);
-  let w1 = Gc.minor_words () in
-  let msgs = (E.metrics eng).Csap_dsim.Metrics.messages in
-  (w1 -. w0) *. 8.0 /. float_of_int (max 1 msgs)
+
+  let run g eng =
+    arm g eng;
+    ignore (S.run eng)
+
+  (* One-shot allocation gauge for the send path: a first flood warms
+     [eng] (queue capacity grown, handler tables filled), then a second,
+     re-armed flood on the same simulator is measured: minor-heap bytes
+     across its run divided by its message count. With growth pre-paid
+     the quotient is the true per-message footprint of the send plus the
+     queue push/pop — ~0 B for the engine's SOA queue, ~10 words for the
+     boxed reference. *)
+  let bytes_per_msg g eng =
+    run g eng;
+    arm g eng;
+    let sent = (S.metrics eng).Csap_dsim.Metrics.messages in
+    let w0 = Gc.minor_words () in
+    ignore (S.run eng);
+    let w1 = Gc.minor_words () in
+    let msgs = (S.metrics eng).Csap_dsim.Metrics.messages - sent in
+    (w1 -. w0) *. 8.0 /. float_of_int (max 1 msgs)
+end
+
+module On_engine = Flood (E)
+module On_sim = Flood (Sim)
 
 (* The pre-index diameter: n independent lazy-deletion Dijkstras, fresh
    buffers each time. *)
@@ -127,26 +95,12 @@ let diameter_lazy g =
   let n = G.n g in
   let best = ref 0 in
   for src = 0 to n - 1 do
-    let s = Csap_graph.Paths.dijkstra_lazy g ~src in
+    let s = Graph_ref.dijkstra_lazy g ~src in
     Array.iter
       (fun d -> if d <> max_int && d > !best then best := d)
       s.Csap_graph.Paths.dist
   done;
   !best
-
-(* The all-sources sweep [Paths.extrema] replaced: one indexed-heap
-   Dijkstra per vertex, reduced to diameter, radius/centre and d. *)
-let extrema_all_sources g =
-  let n = G.n g in
-  let ecc = Array.make n 0 and max_neighbor = ref 0 in
-  for src = 0 to n - 1 do
-    let dist = (Csap_graph.Paths.dijkstra g ~src).Csap_graph.Paths.dist in
-    ecc.(src) <- Array.fold_left max 0 dist;
-    G.iter_neighbors g src (fun u _ _ ->
-        max_neighbor := max !max_neighbor dist.(u))
-  done;
-  let radius = Array.fold_left min max_int ecc in
-  (Array.fold_left max 0 ecc, radius, !max_neighbor)
 
 let tests =
   [
@@ -180,33 +134,38 @@ let tests =
     Test.make ~name:"ct: flood-run"
       (Staged.stage (fun () ->
            ignore (Csap.Flood.run (Lazy.force graph) ~source:0)));
-    (* Before/after: the engine's per-message hot path (adjacency-scan
-       lookup + boxed event heap vs indexed lookup + packed heap). *)
+    (* Before/after: the per-message hot path — the reference simulator
+       with the adjacency-scan lookup (the original engine's send path)
+       vs the engine. *)
     Test.make ~name:"send: flood dense96 seed-path"
       (Staged.stage (fun () ->
-           flood_with E.Scan E.Boxed (Lazy.force dense96)));
+           let g = Lazy.force dense96 in
+           On_sim.run g (Sim.create ~lookup:Graph_ref.edge_id_scan g)));
     Test.make ~name:"send: flood dense96 hot-path"
       (Staged.stage (fun () ->
-           flood_with E.Indexed E.Packed (Lazy.force dense96)));
+           let g = Lazy.force dense96 in
+           On_engine.run g (E.create g)));
     (* Before/after: the event queue alone (both sides use the indexed
-       edge lookup) — boxed record heap vs the allocation-free SOA
-       queue. *)
+       edge lookup) — the reference simulator's boxed record heap vs the
+       engine's allocation-free SOA queue. *)
     Test.make ~name:"engine: send-path boxed"
       (Staged.stage (fun () ->
-           flood_with E.Indexed E.Boxed (Lazy.force dense96)));
+           let g = Lazy.force dense96 in
+           On_sim.run g (Sim.create g)));
     Test.make ~name:"engine: send-path soa"
       (Staged.stage (fun () ->
-           flood_with E.Indexed E.Packed (Lazy.force dense96)));
+           let g = Lazy.force dense96 in
+           On_engine.run g (E.create g)));
     (* Before/after: the diameter sweep's Dijkstra core. *)
     Test.make ~name:"spt: diameter n256 lazy"
       (Staged.stage (fun () -> ignore (diameter_lazy (Lazy.force sparse256))));
     Test.make ~name:"spt: diameter n256 indexed"
       (Staged.stage (fun () ->
-           ignore (extrema_all_sources (Lazy.force sparse256))));
+           ignore (Graph_ref.extrema (Lazy.force sparse256))));
     (* Before/after: the relaxation scan — boxed tuple rows vs flat CSR. *)
     Test.make ~name:"csr: dijkstra n256 tuple"
       (Staged.stage (fun () ->
-           ignore (Csap_graph.Paths.dijkstra_tuple (Lazy.force sparse256) ~src:0)));
+           ignore (Graph_ref.dijkstra_tuple (Lazy.force sparse256) ~src:0)));
     Test.make ~name:"csr: dijkstra n256 flat"
       (Staged.stage (fun () ->
            ignore (Csap_graph.Paths.dijkstra (Lazy.force sparse256) ~src:0)));
@@ -214,18 +173,10 @@ let tests =
        eccentricities. *)
     Test.make ~name:"extrema: n512 all-sources"
       (Staged.stage (fun () ->
-           ignore (extrema_all_sources (Lazy.force sparse512))));
+           ignore (Graph_ref.extrema (Lazy.force sparse512))));
     Test.make ~name:"extrema: n512 bounded"
       (Staged.stage (fun () ->
            ignore (Csap_graph.Paths.extrema (Lazy.force sparse512))));
-    (* Before/after: multi-seed trial loops — fresh engine per trial vs
-       one engine rewound by Engine.reset. *)
-    Test.make ~name:"engine: trial-loop recreate"
-      (Staged.stage (fun () ->
-           ignore (flood_trials ~reuse:false (Lazy.force dense96))));
-    Test.make ~name:"engine: trial-loop reset"
-      (Staged.stage (fun () ->
-           ignore (flood_trials ~reuse:true (Lazy.force dense96))));
   ]
 
 let contains s sub =
@@ -277,8 +228,6 @@ let run () =
       ( "speedup: extrema n512 (all-sources/bounded)",
         find_ns rows "extrema: n512 all-sources"
         /. find_ns rows "extrema: n512 bounded" );
-      ( "speedup: engine trial-loop (recreate/reset)",
-        find_ns rows "trial-loop recreate" /. find_ns rows "trial-loop reset" );
       ( "speedup: engine send-path (boxed/soa)",
         find_ns rows "send-path boxed" /. find_ns rows "send-path soa" );
     ]
@@ -292,9 +241,11 @@ let run () =
   let gauges =
     [
       ( "alloc: send-path boxed bytes/msg",
-        flood_bytes_per_msg E.Boxed (Lazy.force dense96) );
+        let g = Lazy.force dense96 in
+        On_sim.bytes_per_msg g (Sim.create g) );
       ( "alloc: send-path soa bytes/msg",
-        flood_bytes_per_msg E.Packed (Lazy.force dense96) );
+        let g = Lazy.force dense96 in
+        On_engine.bytes_per_msg g (E.create g) );
     ]
   in
   Report.subheading "send-path allocation (bytes per message, warmed engine)";

@@ -16,6 +16,8 @@
      dune exec bench/main.exe -- -j 4         # pool width
      dune exec bench/main.exe -- --json PATH  # result file (--no-json to skip) *)
 
+module Jsonx = Csap_farm.Jsonx
+
 let benches =
   [
     ("f1", Bench_trees.f1);
@@ -184,35 +186,37 @@ let () =
   (match opts.json with
   | None -> ()
   | Some path ->
-    let figures_json =
-      Report.json_list
-        (fun (fig, res) ->
-          Report.json_of_figure ~id:fig.Report.id ~title:fig.Report.title
-            (Array.to_list res))
-        figure_results
-    in
-    let micro_json =
-      Report.json_list
-        (fun (name, v) ->
-          Printf.sprintf "{\"name\":\"%s\",\"value\":%s}"
-            (Report.json_escape name)
-            (Report.json_of_cell (Report.Float v)))
-        micro_rows
-    in
-    let busy_json =
-      "["
-      ^ String.concat ","
-          (Array.to_list
-             (Array.map (Printf.sprintf "%.3f") pool_busy_ms))
-      ^ "]"
-    in
     let doc =
-      Printf.sprintf
-        "{\"harness\":\"csap-bench\",\"pool_domains\":%d,\"pool_wall_ms\":%.3f,\"pool_busy_ms\":%s,\"figures\":%s,\"micro\":%s}\n"
-        opts.jobs pool_wall_ms busy_json figures_json micro_json
+      Jsonx.Obj
+        [
+          ("harness", Jsonx.Str "csap-bench");
+          ("pool_domains", Jsonx.Int opts.jobs);
+          ("pool_wall_ms", Jsonx.Float pool_wall_ms);
+          ( "pool_busy_ms",
+            Jsonx.Arr
+              (Array.to_list
+                 (Array.map (fun ms -> Jsonx.Float ms) pool_busy_ms)) );
+          ( "figures",
+            Jsonx.Arr
+              (List.map
+                 (fun (fig, res) ->
+                   Report.json_of_figure ~id:fig.Report.id
+                     ~title:fig.Report.title (Array.to_list res))
+                 figure_results) );
+          ( "micro",
+            Jsonx.Arr
+              (List.map
+                 (fun (name, v) ->
+                   Jsonx.Obj
+                     [
+                       ("name", Jsonx.Str name);
+                       ("value", Jsonx.Float v);
+                     ])
+                 micro_rows) );
+        ]
     in
     let oc = open_out path in
-    output_string oc doc;
+    output_string oc (Jsonx.to_string doc ^ "\n");
     close_out oc;
     Format.eprintf "wrote %s@." path);
   Format.printf "@.done.@."

@@ -99,46 +99,34 @@ let row_job label run = { label; run = (fun () -> [ run () ]) }
 let all_rows results = List.concat (Array.to_list results)
 
 (* ---- JSON emission ---------------------------------------------------- *)
-(* Hand-rolled writer (the environment has no JSON library); the output
-   is plain JSON, validated by the CI smoke job. *)
+(* Through the farm's codec: floats print as [%.17g] (round-tripping),
+   and NaN/infinity — which JSON cannot express — as [null]. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Jsonx = Csap_farm.Jsonx
 
 let json_of_cell = function
-  | Int i -> string_of_int i
-  | Float f ->
-    (* JSON has no nan/infinity literals. *)
-    if Float.is_nan f || Float.abs f = infinity then "null"
-    else Printf.sprintf "%.6g" f
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-
-let json_list to_json xs =
-  "[" ^ String.concat "," (List.map to_json xs) ^ "]"
-
-let json_of_row row = json_list json_of_cell row
+  | Int i -> Jsonx.Int i
+  | Float f -> Jsonx.Float f
+  | Str s -> Jsonx.Str s
 
 let json_of_job_result r =
-  Printf.sprintf
-    "{\"label\":\"%s\",\"wall_ms\":%.3f,\"alloc_minor_words\":%.0f,\"alloc_promoted_words\":%.0f,\"alloc_major_collections\":%d,\"rows\":%s}"
-    (json_escape r.job_label) r.wall_ms r.alloc_minor_words
-    r.alloc_promoted_words r.alloc_major_collections
-    (json_list json_of_row r.rows)
+  Jsonx.Obj
+    [
+      ("label", Jsonx.Str r.job_label);
+      ("wall_ms", Jsonx.Float r.wall_ms);
+      ("alloc_minor_words", Jsonx.Float r.alloc_minor_words);
+      ("alloc_promoted_words", Jsonx.Float r.alloc_promoted_words);
+      ("alloc_major_collections", Jsonx.Int r.alloc_major_collections);
+      ( "rows",
+        Jsonx.Arr
+          (List.map (fun row -> Jsonx.Arr (List.map json_of_cell row)) r.rows)
+      );
+    ]
 
 let json_of_figure ~id ~title results =
-  Printf.sprintf "{\"id\":\"%s\",\"title\":\"%s\",\"cells\":%s}"
-    (json_escape id) (json_escape title)
-    (json_list json_of_job_result results)
+  Jsonx.Obj
+    [
+      ("id", Jsonx.Str id);
+      ("title", Jsonx.Str title);
+      ("cells", Jsonx.Arr (List.map json_of_job_result results));
+    ]

@@ -1,8 +1,3 @@
-(* Cold call site of the deprecated tuple [Graph.neighbors]: the token
-   walk addresses a vertex's ports by position ([iter.(v)]-th neighbour),
-   which wants the random-access array the shim provides. *)
-[@@@alert "-deprecated"]
-
 module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
@@ -27,7 +22,9 @@ type 'm t = {
   visited : bool array;
   parent : int array;
   parent_w : int array;
-  iter : int array;  (* next adjacency index to try at each vertex *)
+  iter : int array;
+      (* next port to try at each vertex: port [i] of [v] is slot
+         [off.(v) + i] of the graph's CSR rows *)
   return_child : int array;  (* routing for From_root hops *)
   mutable est_c : int;
   mutable est_r : int;
@@ -95,15 +92,18 @@ and guarded_traversal t v ~w action =
 and continue_at t v =
   let g = t.sh.net.Net.graph in
   let deg = G.degree g v in
+  let off = (G.csr_offsets g).(v) and nbr = G.csr_neighbors g in
   (* Skip the edge back to the DFS parent; it is used only by Retreat. *)
-  while t.iter.(v) < deg
-        && (let u, _, _ = (G.neighbors g v).(t.iter.(v)) in
-            v <> t.sh.root && u = t.parent.(v))
+  while
+    t.iter.(v) < deg
+    && v <> t.sh.root
+    && nbr.(off + t.iter.(v)) = t.parent.(v)
   do
     t.iter.(v) <- t.iter.(v) + 1
   done;
   if t.iter.(v) < deg then begin
-    let u, w, _ = (G.neighbors g v).(t.iter.(v)) in
+    let s = off + t.iter.(v) in
+    let u = nbr.(s) and w = (G.csr_weights g).(s) in
     guarded_traversal t v ~w (fun () ->
         t.est_c <- t.est_c + w;
         send t ~src:v ~dst:u Forward)

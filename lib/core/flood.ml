@@ -1,4 +1,3 @@
-module Engine = Csap_dsim.Engine
 module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
@@ -6,38 +5,37 @@ type result = {
   tree : Csap_graph.Tree.t;
   arrival : float array;
   measures : Measures.t;
+  transport : Net.stats;
 }
 
 type msg = Wave
 
-type engine = msg Engine.t
-
-let make_engine ?delay g = Engine.create ?delay g
-
-let run ?delay ?faults ?engine g ~source =
+(* One wave body for both transports. Over the plain transport a plan
+   that drops a first-contact copy can leave the wave short of some
+   vertices; through the reliable shim every survivable plan is covered,
+   because the shim restores the exactly-once FIFO links the wave
+   assumes. The wave state lives in stable storage — a crashed vertex
+   keeps what it learned, and the only restart work is counting.
+   Resetting [reached] instead would be unsound: copies delivered before
+   the crash are never redelivered, and re-parenting on a late copy
+   could close a cycle. *)
+let run ?delay ?faults ?reliable g ~source =
   let n = G.n g in
-  let eng =
-    match engine with
-    | None -> Engine.create ?delay ?faults g
-    | Some eng ->
-      if G.id (Engine.graph eng) <> G.id g then
-        invalid_arg "Flood.run: engine built over a different graph";
-      Engine.reset ?delay ?faults eng;
-      eng
-  in
+  let net = Net.make ?reliable ?delay ?faults g in
+  let stats = Net.monitor net in
   let parent = Array.make n (-1) in
   let parent_w = Array.make n 0 in
   let reached = Array.make n false in
   let arrival = Array.make n infinity in
   let forward v ~except =
     G.iter_neighbors g v (fun u _ _ ->
-        if u <> except then Engine.send eng ~src:v ~dst:u Wave)
+        if u <> except then net.Net.send ~src:v ~dst:u Wave)
   in
   for v = 0 to n - 1 do
-    Engine.set_handler eng v (fun ~src Wave ->
+    net.Net.set_handler v (fun ~src Wave ->
         if not reached.(v) then begin
           reached.(v) <- true;
-          arrival.(v) <- Engine.now eng;
+          arrival.(v) <- net.Net.now ();
           parent.(v) <- src;
           (match G.edge_between g v src with
           | Some (w, _) -> parent_w.(v) <- w
@@ -45,13 +43,13 @@ let run ?delay ?faults ?engine g ~source =
           forward v ~except:src
         end)
   done;
-  Engine.schedule eng ~delay:0.0 (fun () ->
+  net.Net.schedule ~delay:0.0 (fun () ->
       reached.(source) <- true;
       arrival.(source) <- 0.0;
       forward source ~except:(-1));
-  ignore (Engine.run eng);
+  ignore (net.Net.run ());
   if not (Array.for_all Fun.id reached) then
-    invalid_arg "Flood.run: graph is disconnected";
+    invalid_arg "Flood.run: wave did not cover the graph";
   let tree =
     Csap_graph.Tree.of_parents ~root:source ~parents:parent ~weights:parent_w
   in
@@ -59,9 +57,12 @@ let run ?delay ?faults ?engine g ~source =
      copies still in flight afterwards cost communication but not time. *)
   let completion = Array.fold_left Float.max 0.0 arrival in
   let measures =
-    { (Measures.of_metrics (Engine.metrics eng)) with Measures.time = completion }
+    {
+      (Measures.of_metrics (net.Net.metrics ())) with
+      Measures.time = completion;
+    }
   in
-  { tree; arrival; measures }
+  { tree; arrival; measures; transport = stats () }
 
 (* The same wave on the partitioned engine: identical handler logic, so
    bit-identity with [run] follows from Pengine's order guarantee. The
@@ -106,68 +107,4 @@ let run_partitioned ?delay ?partition ~domains g ~source =
   let measures =
     { (Measures.of_metrics (P.metrics eng)) with Measures.time = completion }
   in
-  { tree; arrival; measures }
-
-type reliable_result = {
-  result : result;
-  retransmissions : int;
-  restarts : int;
-}
-
-(* The same wave, through the reliable-delivery shim: correct under any
-   survivable fault plan (loss < 1, finite outages/crashes) because the
-   shim restores the exactly-once FIFO links the plain run assumes. The
-   wave state lives in stable storage — a crashed vertex keeps what it
-   learned, and [on_restart] (here: a restart counter plus an optional
-   caller hook) only rebuilds volatile state. Resetting [reached] instead
-   would be unsound: copies delivered before the crash are never
-   redelivered, and re-parenting on a late copy could close a cycle. *)
-let run_reliable ?delay ?faults ?rto ?max_rto ?on_restart g ~source =
-  let n = G.n g in
-  let net = Net.reliable ?delay ?faults ?rto ?max_rto g in
-  let parent = Array.make n (-1) in
-  let parent_w = Array.make n 0 in
-  let reached = Array.make n false in
-  let arrival = Array.make n infinity in
-  let restarts = ref 0 in
-  let forward v ~except =
-    G.iter_neighbors g v (fun u _ _ ->
-        if u <> except then net.Net.send ~src:v ~dst:u Wave)
-  in
-  for v = 0 to n - 1 do
-    net.Net.set_handler v (fun ~src Wave ->
-        if not reached.(v) then begin
-          reached.(v) <- true;
-          arrival.(v) <- net.Net.now ();
-          parent.(v) <- src;
-          (match G.edge_between g v src with
-          | Some (w, _) -> parent_w.(v) <- w
-          | None -> assert false);
-          forward v ~except:src
-        end);
-    net.Net.set_on_restart v (fun () ->
-        incr restarts;
-        match on_restart with Some f -> f v | None -> ())
-  done;
-  net.Net.schedule ~delay:0.0 (fun () ->
-      reached.(source) <- true;
-      arrival.(source) <- 0.0;
-      forward source ~except:(-1));
-  ignore (net.Net.run ());
-  if not (Array.for_all Fun.id reached) then
-    invalid_arg "Flood.run_reliable: wave did not cover the graph";
-  let tree =
-    Csap_graph.Tree.of_parents ~root:source ~parents:parent ~weights:parent_w
-  in
-  let completion = Array.fold_left Float.max 0.0 arrival in
-  let measures =
-    {
-      (Measures.of_metrics (net.Net.metrics ())) with
-      Measures.time = completion;
-    }
-  in
-  {
-    result = { tree; arrival; measures };
-    retransmissions = net.Net.retransmissions ();
-    restarts = !restarts;
-  }
+  { tree; arrival; measures; transport = Net.no_stats }

@@ -11,33 +11,26 @@ type result = {
   tree : Csap_graph.Tree.t;  (** the spanning tree of first contacts *)
   arrival : float array;  (** time the wave reached each vertex *)
   measures : Measures.t;
+  transport : Csap_dsim.Net.stats;
+      (** retransmissions and observed crash-restarts *)
 }
 
-(** A reusable engine for multi-trial flood loops; see {!make_engine}. *)
-type engine
+(** [run ?delay ?faults ?reliable g ~source] floods from [source] over
+    {!Csap_dsim.Net.make}'s transport; requires a connected graph.
 
-(** [make_engine ?delay g] builds the engine [run ~engine] reuses across
-    trials on the same [g] — one allocation of the per-vertex and
-    per-edge state per (instance) point instead of one per trial. *)
-val make_engine : ?delay:Csap_dsim.Delay.t -> Csap_graph.Graph.t -> engine
-
-(** [run ?delay ?faults ?engine g ~source] floods from [source];
-    requires a connected graph. When [engine] is given it must have been
-    built over [g] (checked by graph identity; raises [Invalid_argument]
-    otherwise); it is {!Csap_dsim.Engine.reset} — installing [delay] and
-    [faults] if provided (and clearing any previous plan otherwise) —
-    and reused instead of creating a fresh engine, which multi-seed
-    trial loops exploit to skip per-trial reconstruction.
-
-    With [faults], messages run over the raw (unreliable) engine: a plan
-    that drops a first-contact copy can leave the wave short of some
-    vertices, in which case [run] raises [Invalid_argument] like it does
-    on a disconnected graph. Use {!run_reliable} for correctness under
-    faults. *)
+    With [faults] on the plain transport ([reliable] unset), messages
+    run over the raw (unreliable) engine: a plan that drops a
+    first-contact copy can leave the wave short of some vertices, in
+    which case [run] raises [Invalid_argument]. With [~reliable:true]
+    the wave goes through the {!Csap_dsim.Reliable} shim: under any
+    survivable fault plan (loss < 1, finite outages and crashes) it
+    covers the graph and the first-contact tree is a valid spanning
+    tree. The wave state is stable storage, so a restart only counts
+    in [transport]. *)
 val run :
   ?delay:Csap_dsim.Delay.t ->
   ?faults:Csap_dsim.Fault.plan ->
-  ?engine:engine ->
+  ?reliable:bool ->
   Csap_graph.Graph.t ->
   source:int ->
   result
@@ -47,7 +40,7 @@ val run :
     domains and returns a result {b bit-identical} to [run]'s: same
     tree, same arrival times, same measures. The delay model must be
     order-independent ({!Csap_dsim.Delay.order_independent}); no fault
-    support. *)
+    support, so [transport] is always {!Csap_dsim.Net.no_stats}. *)
 val run_partitioned :
   ?delay:Csap_dsim.Delay.t ->
   ?partition:Csap_graph.Partition.t ->
@@ -55,25 +48,3 @@ val run_partitioned :
   Csap_graph.Graph.t ->
   source:int ->
   result
-
-type reliable_result = {
-  result : result;
-  retransmissions : int;  (** timeout-driven data retransmissions *)
-  restarts : int;  (** crash-restart events observed *)
-}
-
-(** [run_reliable ?delay ?faults ?rto ?max_rto ?on_restart g ~source]
-    floods through the {!Csap_dsim.Reliable} shim: under any survivable
-    fault plan (loss < 1, finite outages and crashes) the wave covers
-    the graph and the first-contact tree is a valid spanning tree.
-    [on_restart v] is called each time vertex [v] restarts after a
-    crash, after the shim has re-armed its timers. *)
-val run_reliable :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?rto:float ->
-  ?max_rto:float ->
-  ?on_restart:(int -> unit) ->
-  Csap_graph.Graph.t ->
-  source:int ->
-  reliable_result

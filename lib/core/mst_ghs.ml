@@ -1,9 +1,4 @@
-(* Cold call site of the deprecated tuple [Graph.neighbors]: the GHS
-   state machine keeps per-port arrays aligned with the adjacency rows
-   and indexes them randomly, which wants the shim's arrays. *)
-[@@@alert "-deprecated"]
-
-module Engine = Csap_dsim.Engine
+module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
 (* Canonical distinct edge identities: the (w, u, v) triple. *)
@@ -34,6 +29,7 @@ type result = {
   mst : Csap_graph.Tree.t;
   measures : Measures.t;
   max_level : int;
+  transport : Net.stats;
 }
 
 (* The protocol core is engine-agnostic: transmissions go through an
@@ -60,7 +56,8 @@ let create g ~send:send_fn ~on_done =
   let n = G.n g in
   if n < 2 then invalid_arg "Mst_ghs.create: n >= 2 required";
   if not (G.is_connected g) then invalid_arg "Mst_ghs.create: disconnected";
-  (* Per-vertex protocol state; edge state is per adjacency index. *)
+  (* Per-vertex protocol state; edge state is per port: port [i] of [v]
+     is slot [off.(v) + i] of the graph's CSR rows. *)
   let sn = Array.make n Sleeping in
   let ln = Array.make n 0 in
   let fn = Array.make n inf_key in
@@ -75,20 +72,20 @@ let create g ~send:send_fn ~on_done =
   let max_level = ref 0 in
   let done_flag = ref false in
   let bump v = version.(v) <- version.(v) + 1 in
-  let adj v = G.neighbors g v in
+  let off = G.csr_offsets g
+  and nbr = G.csr_neighbors g
+  and wt = G.csr_weights g in
+  let port v i = nbr.(off.(v) + i) in
   let edge_key v i =
-    let u, w, _ = (adj v).(i) in
-    (w, min v u, max v u)
+    let u = port v i in
+    (wt.(off.(v) + i), min v u, max v u)
   in
   let index_of v u =
     let i = G.neighbor_index g v u in
     assert (i >= 0);
     i
   in
-  let send v i m =
-    let u, _, _ = (adj v).(i) in
-    send_fn ~src:v ~dst:u m
-  in
+  let send v i m = send_fn ~src:v ~dst:(port v i) m in
   (* Sorted adjacency order for the serial scan (lightest first). *)
   let scan_order =
     Array.init n (fun v ->
@@ -245,8 +242,10 @@ let create g ~send:send_fn ~on_done =
       Array.iteri
         (fun i s ->
           if s = Branch then begin
-            let u, w, _ = (adj v).(i) in
-            Hashtbl.replace branch_edges (min v u, max v u, w) ()
+            let u = port v i in
+            Hashtbl.replace branch_edges
+              (min v u, max v u, wt.(off.(v) + i))
+              ()
           end)
         se.(v)
     done;
@@ -271,67 +270,31 @@ let create g ~send:send_fn ~on_done =
     max_level_ = (fun () -> !max_level);
   }
 
-let run ?delay ?faults g =
-  let eng = Engine.create ?delay ?faults g in
-  let t =
-    create g
-      ~send:(fun ~src ~dst m -> Engine.send eng ~src ~dst m)
-      ~on_done:(fun () -> ())
-  in
-  for v = 0 to G.n g - 1 do
-    Engine.set_handler eng v (fun ~src m -> handle t ~me:v ~src m)
-  done;
-  Engine.schedule eng ~delay:0.0 (fun () ->
-      for v = 0 to G.n g - 1 do
-        wake t v
-      done);
-  ignore (Engine.run eng);
-  if not (finished t) then failwith "Mst_ghs.run: did not terminate";
-  {
-    mst = mst t;
-    measures = Measures.of_metrics (Engine.metrics eng);
-    max_level = max_level t;
-  }
-
-type reliable_result = {
-  result : result;
-  retransmissions : int;
-  restarts : int;
-}
-
-(* GHS through the reliable shim. The state machine above assumes
-   exactly-once FIFO links — exactly what the shim restores over a
-   faulty engine — and all its state is stable storage under the crash
-   model, so no crash-specific protocol logic is needed. *)
-let run_reliable ?delay ?faults ?rto ?max_rto ?on_restart g =
-  let module Net = Csap_dsim.Net in
-  let net = Net.reliable ?delay ?faults ?rto ?max_rto g in
+(* GHS over either transport. The state machine assumes exactly-once
+   FIFO links — what the plain engine gives without faults and what the
+   reliable shim restores over a faulty one — and all its state is
+   stable storage under the crash model, so no crash-specific protocol
+   logic is needed. *)
+let run ?delay ?faults ?reliable g =
+  let net = Net.make ?reliable ?delay ?faults g in
+  let stats = Net.monitor net in
   let t =
     create g
       ~send:(fun ~src ~dst m -> net.Net.send ~src ~dst m)
       ~on_done:(fun () -> ())
   in
-  let restarts = ref 0 in
   for v = 0 to G.n g - 1 do
-    net.Net.set_handler v (fun ~src m -> handle t ~me:v ~src m);
-    net.Net.set_on_restart v (fun () ->
-        incr restarts;
-        match on_restart with Some f -> f v | None -> ())
+    net.Net.set_handler v (fun ~src m -> handle t ~me:v ~src m)
   done;
   net.Net.schedule ~delay:0.0 (fun () ->
       for v = 0 to G.n g - 1 do
         wake t v
       done);
   ignore (net.Net.run ());
-  if not (finished t) then
-    failwith "Mst_ghs.run_reliable: did not terminate";
+  if not (finished t) then failwith "Mst_ghs.run: did not terminate";
   {
-    result =
-      {
-        mst = mst t;
-        measures = Measures.of_metrics (net.Net.metrics ());
-        max_level = max_level t;
-      };
-    retransmissions = net.Net.retransmissions ();
-    restarts = !restarts;
+    mst = mst t;
+    measures = Measures.of_metrics (net.Net.metrics ());
+    max_level = max_level t;
+    transport = stats ();
   }

@@ -51,37 +51,27 @@ type result = {
   mst : Csap_graph.Tree.t;
   measures : Measures.t;
   max_level : int;  (** highest fragment level reached, [<= log2 n] *)
+  transport : Csap_dsim.Net.stats;
+      (** retransmissions and observed crash-restarts *)
 }
 
-(** [run ?delay ?faults g] computes the MST; all vertices wake at time 0
-    (the paper's flooding wake-up, whose [O(script-E)] cost is already
-    dominated by the scanning term). With [faults], messages run over the
-    raw engine: GHS is not loss-tolerant, so a plan that drops messages
-    typically deadlocks the run ([failwith] on non-termination). Use
-    {!run_reliable} for correctness under faults. *)
+(** [run ?delay ?faults ?reliable g] computes the MST over
+    {!Csap_dsim.Net.make}'s transport; all vertices wake at time 0 (the
+    paper's flooding wake-up, whose [O(script-E)] cost is already
+    dominated by the scanning term).
+
+    With [faults] on the plain transport ([reliable] unset), messages
+    run over the raw engine: GHS is not loss-tolerant, so a plan that
+    drops messages typically deadlocks the run ([failwith] on
+    non-termination). With [~reliable:true] the run goes through the
+    {!Csap_dsim.Reliable} shim: under any survivable fault plan (loss
+    < 1, finite outages and crashes) the computed tree is the MST, at
+    the retransmission overhead. The state machine needs no
+    crash-specific logic — its state is stable storage under the crash
+    model and the shim restores exactly-once FIFO links. *)
 val run :
   ?delay:Csap_dsim.Delay.t ->
   ?faults:Csap_dsim.Fault.plan ->
+  ?reliable:bool ->
   Csap_graph.Graph.t ->
   result
-
-type reliable_result = {
-  result : result;
-  retransmissions : int;  (** timeout-driven data retransmissions *)
-  restarts : int;  (** crash-restart events observed *)
-}
-
-(** [run_reliable ?delay ?faults ?rto ?max_rto ?on_restart g] runs GHS
-    through the {!Csap_dsim.Reliable} shim: under any survivable fault
-    plan (loss < 1, finite outages and crashes) the computed tree is the
-    MST, at the retransmission overhead. The GHS state machine needs no
-    crash-specific logic — its state is stable storage under the crash
-    model and the shim restores exactly-once FIFO links. *)
-val run_reliable :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?rto:float ->
-  ?max_rto:float ->
-  ?on_restart:(int -> unit) ->
-  Csap_graph.Graph.t ->
-  reliable_result

@@ -4,8 +4,6 @@ module Delay = Csap_dsim.Delay
 module Net = Csap_dsim.Net
 
 module Run = struct
-  type handle = ..
-
   type cfg = {
     graph : G.t;
     root : int;
@@ -14,7 +12,6 @@ module Run = struct
     faults : Csap_dsim.Fault.plan option;
     reliable : bool;
     trace : string option;
-    engine : handle option;
     pulses : int option;
     strip : int option;
     k : int option;
@@ -23,9 +20,9 @@ module Run = struct
   }
 
   let make ?(root = 0) ?delay ?adversary ?faults ?(reliable = false) ?trace
-      ?engine ?pulses ?strip ?k ?q ?domains graph =
-    { graph; root; delay; adversary; faults; reliable; trace; engine; pulses;
-      strip; k; q; domains }
+      ?pulses ?strip ?k ?q ?domains graph =
+    { graph; root; delay; adversary; faults; reliable; trace; pulses; strip;
+      k; q; domains }
 
   let delay cfg = Option.value cfg.delay ~default:Delay.Exact
 end
@@ -90,7 +87,6 @@ type caps = {
   supports_faults : bool;
   supports_reliable : bool;
   synchronous_only : bool;
-  reuses_engine : bool;
   fixed_family : bool;
   supports_domains : bool;
   supports_adaptive : bool;
@@ -102,7 +98,6 @@ let default_caps =
     supports_faults = true;
     supports_reliable = true;
     synchronous_only = false;
-    reuses_engine = false;
     fixed_family = false;
     supports_domains = false;
     supports_adaptive = true;
@@ -155,10 +150,6 @@ module type S = sig
       and [csap_cli bounds]). At least a communication claim; a time
       claim unless the protocol reports no meaningful time. *)
   val claimed : Claim.t list
-
-  (** Build a reusable engine handle for multi-trial loops on the same
-      graph; [None] when the protocol has no reusable state. *)
-  val make_engine : ?delay:Delay.t -> G.t -> Run.handle option
 
   (** Raw runner; called by {!execute} after uniform validation. *)
   val run : Run.cfg -> Outcome.t
@@ -226,10 +217,6 @@ let check_spt g ~root tree =
     done;
     !ok
 
-let no_engine ?delay _g =
-  ignore delay;
-  None
-
 let outcome ~name ~measures ?(transport = Net.no_stats) ?(info = []) payload =
   let retransmissions, restarts = stats_of transport in
   { Outcome.protocol = name; measures; retransmissions; restarts; payload;
@@ -239,13 +226,11 @@ let outcome ~name ~measures ?(transport = Net.no_stats) ?(info = []) payload =
 (* Section 6/7: connectivity.                                          *)
 (* ------------------------------------------------------------------ *)
 
-type Run.handle += Flood_engine of Flood.engine
-
 module Flood_p = struct
   let name = "flood"
   let summary = "CON_flood: spanning tree by flooding (Section 6.1)"
   let category = Connectivity
-  let caps = { default_caps with reuses_engine = true; supports_domains = true }
+  let caps = { default_caps with supports_domains = true }
 
   let claimed =
     [
@@ -253,46 +238,20 @@ module Flood_p = struct
       Claim.time ~regime:"clean run, delays bounded by weights" "D";
     ]
 
-  let make_engine ?delay g = Some (Flood_engine (Flood.make_engine ?delay g))
-
   let run cfg =
     let g = cfg.Run.graph and source = cfg.Run.root in
-    if cfg.Run.reliable then begin
-      let r =
-        Flood.run_reliable ?delay:cfg.Run.delay ?faults:cfg.Run.faults g
-          ~source
-      in
-      let inner = r.Flood.result in
-      outcome ~name ~measures:inner.Flood.measures
-        ~transport:
-          {
-            Net.retransmissions = r.Flood.retransmissions;
-            restarts = r.Flood.restarts;
-          }
-        (Outcome.Flood_wave
-           { tree = inner.Flood.tree; arrival = inner.Flood.arrival })
-    end
-    else begin
+    let r, info =
       match cfg.Run.domains with
       | Some d when d > 1 ->
-        let r = Flood.run_partitioned ?delay:cfg.Run.delay ~domains:d g ~source in
-        outcome ~name ~measures:r.Flood.measures
-          ~info:[ ("domains", string_of_int d) ]
-          (Outcome.Flood_wave
-             { tree = r.Flood.tree; arrival = r.Flood.arrival })
+        ( Flood.run_partitioned ?delay:cfg.Run.delay ~domains:d g ~source,
+          [ ("domains", string_of_int d) ] )
       | _ ->
-        let engine =
-          match cfg.Run.engine with
-          | Some (Flood_engine e) -> Some e
-          | _ -> None
-        in
-        let r =
-          Flood.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults ?engine g
-            ~source
-        in
-        outcome ~name ~measures:r.Flood.measures
-          (Outcome.Flood_wave { tree = r.Flood.tree; arrival = r.Flood.arrival })
-    end
+        ( Flood.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
+            ~reliable:cfg.Run.reliable g ~source,
+          [] )
+    in
+    outcome ~name ~measures:r.Flood.measures ~transport:r.Flood.transport ~info
+      (Outcome.Flood_wave { tree = r.Flood.tree; arrival = r.Flood.arrival })
 
   let invariant cfg (o : Outcome.t) =
     match o.Outcome.payload with
@@ -333,8 +292,6 @@ module Dfs_p = struct
   let category = Connectivity
   let caps = default_caps
   let claimed = [ Claim.comm "4 * E"; Claim.time "4 * E" ]
-  let make_engine = no_engine
-
   let run cfg =
     let r =
       Dfs_token.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
@@ -372,8 +329,6 @@ module Con_hybrid_p = struct
 
   let claimed =
     [ Claim.comm "min(E, n * V)"; Claim.time "min(E, n * V)" ]
-
-  let make_engine = no_engine
 
   let run cfg =
     let r =
@@ -414,8 +369,6 @@ module Mst_centr_p = struct
   let category = Mst
   let caps = default_caps
   let claimed = [ Claim.comm "n * V"; Claim.time "n * V" ]
-  let make_engine = no_engine
-
   let run cfg =
     let r =
       Centr_growth.run_mst ?delay:cfg.Run.delay ?faults:cfg.Run.faults
@@ -438,32 +391,14 @@ module Mst_ghs_p = struct
   let claimed =
     [ Claim.comm "E + V * logn"; Claim.time "E + V * logn" ]
 
-  let make_engine = no_engine
-
   let run cfg =
-    if cfg.Run.reliable then begin
-      let r =
-        Mst_ghs.run_reliable ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          cfg.Run.graph
-      in
-      let inner = r.Mst_ghs.result in
-      outcome ~name ~measures:inner.Mst_ghs.measures
-        ~transport:
-          {
-            Net.retransmissions = r.Mst_ghs.retransmissions;
-            restarts = r.Mst_ghs.restarts;
-          }
-        ~info:[ ("max_level", string_of_int inner.Mst_ghs.max_level) ]
-        (Outcome.Spanning_tree inner.Mst_ghs.mst)
-    end
-    else begin
-      let r =
-        Mst_ghs.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults cfg.Run.graph
-      in
-      outcome ~name ~measures:r.Mst_ghs.measures
-        ~info:[ ("max_level", string_of_int r.Mst_ghs.max_level) ]
-        (Outcome.Spanning_tree r.Mst_ghs.mst)
-    end
+    let r =
+      Mst_ghs.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
+        ~reliable:cfg.Run.reliable cfg.Run.graph
+    in
+    outcome ~name ~measures:r.Mst_ghs.measures ~transport:r.Mst_ghs.transport
+      ~info:[ ("max_level", string_of_int r.Mst_ghs.max_level) ]
+      (Outcome.Spanning_tree r.Mst_ghs.mst)
 
   let invariant = mst_invariant
 end
@@ -476,8 +411,6 @@ module Mst_fast_p = struct
 
   let claimed =
     [ Claim.comm "E * logn^2"; Claim.time "E * logn^2" ]
-
-  let make_engine = no_engine
 
   let run cfg =
     let r =
@@ -508,8 +441,6 @@ module Mst_hybrid_p = struct
       Claim.comm "min(E + V * logn, n * V)";
       Claim.time "min(E + V * logn, n * V)";
     ]
-
-  let make_engine = no_engine
 
   let run cfg =
     let r =
@@ -549,8 +480,6 @@ module Spt_centr_p = struct
 
   (* w(SPT) <= n * D, so n * w(SPT) is claimed as n^2 * D. *)
   let claimed = [ Claim.comm "n^2 * D"; Claim.time "n^2 * D" ]
-  let make_engine = no_engine
-
   let run cfg =
     let r =
       Centr_growth.run_spt ?delay:cfg.Run.delay ?faults:cfg.Run.faults
@@ -575,8 +504,6 @@ module Spt_synch_p = struct
       Claim.comm "E + D * n * logn";
       Claim.time "D * n * logn";
     ]
-
-  let make_engine = no_engine
 
   let run cfg =
     let r =
@@ -603,8 +530,6 @@ module Spt_recur_p = struct
   let category = Spt
   let caps = default_caps
   let claimed = [ Claim.comm "E^1.5"; Claim.time "E^1.5" ]
-  let make_engine = no_engine
-
   let run cfg =
     let strip =
       match cfg.Run.strip with
@@ -640,8 +565,6 @@ module Spt_hybrid_p = struct
       Claim.comm "min(E^1.5, E + D * n * logn)";
       Claim.time "min(E^1.5, D * n * logn)";
     ]
-
-  let make_engine = no_engine
 
   let run cfg =
     let r =
@@ -686,8 +609,6 @@ module Spt_async_p = struct
       Claim.time ~regime:"clean run, delays bounded by weights" "D";
     ]
 
-  let make_engine = no_engine
-
   let run cfg =
     let g = cfg.Run.graph and source = cfg.Run.root in
     let r =
@@ -716,8 +637,6 @@ module Slt_dist_p = struct
   let category = Slt
   let caps = default_caps
   let claimed = [ Claim.comm "n^2 * V"; Claim.time "n^2 * D" ]
-  let make_engine = no_engine
-
   let run cfg =
     let r =
       Slt_distributed.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
@@ -780,8 +699,6 @@ module Global_sum_p = struct
   (* Convergecast + broadcast over a locally built SLT: the tree
      weight is O(V) and its depth O(D). *)
   let claimed = [ Claim.comm "8 * V + 8 * D"; Claim.time "4 * D" ]
-  let make_engine = no_engine
-
   let run cfg =
     let g = cfg.Run.graph in
     let values = Array.init (G.n g) (fun v -> v) in
@@ -840,8 +757,6 @@ module Clock_alpha_p = struct
     [ Claim.comm ~regime:"per fixed pulse count" "E";
       Claim.time ~regime:"per fixed pulse count" "D + d" ]
 
-  let make_engine = no_engine
-
   let run cfg =
     clock_outcome ~name
       (Clock_sync.run_alpha ?delay:cfg.Run.delay ?faults:cfg.Run.faults
@@ -860,8 +775,6 @@ module Clock_beta_p = struct
     [ Claim.comm ~regime:"per fixed pulse count" "E + V";
       Claim.time ~regime:"per fixed pulse count" "D" ]
 
-  let make_engine = no_engine
-
   let run cfg =
     clock_outcome ~name
       (Clock_sync.run_beta ?delay:cfg.Run.delay ?faults:cfg.Run.faults
@@ -879,8 +792,6 @@ module Clock_gamma_p = struct
   let claimed =
     [ Claim.comm ~regime:"per fixed pulse count" "E + V * logn";
       Claim.time ~regime:"per fixed pulse count" "D + d * logn^2" ]
-
-  let make_engine = no_engine
 
   let run cfg =
     clock_outcome ~name
@@ -951,8 +862,6 @@ module Sync_alpha_p = struct
   (* The wave runs for O(D) pulses; alpha_w pays O(E) per pulse and
      O(d) time per pulse. *)
   let claimed = [ Claim.comm "D * E"; Claim.time "D * d" ]
-  let make_engine = no_engine
-
   let run cfg =
     let source = cfg.Run.root and pulses = sync_pulses cfg in
     sync_outcome ~name ~source ~pulses
@@ -972,8 +881,6 @@ module Sync_beta_p = struct
 
   let claimed =
     [ Claim.comm "E + D * V"; Claim.time "D^2" ]
-
-  let make_engine = no_engine
 
   let run cfg =
     let source = cfg.Run.root and pulses = sync_pulses cfg in
@@ -996,8 +903,6 @@ module Sync_gamma_p = struct
 
   let claimed =
     [ Claim.comm "E + D * n * logn"; Claim.time "D^2 * logn" ]
-
-  let make_engine = no_engine
 
   let run cfg =
     let source = cfg.Run.root and pulses = sync_pulses cfg in
@@ -1066,8 +971,6 @@ module Lower_bound_p = struct
      meaningful completion time, so no time claim. *)
   let claimed =
     [ Claim.comm ~regime:"the G_n(x) family" "min(8 * E, 2 * n * V)" ]
-
-  let make_engine = no_engine
 
   (* The run ignores [cfg.graph]'s topology: G_n is rebuilt from its
      size parameters ([fixed_family]). *)
@@ -1244,9 +1147,8 @@ let execute ((module P : S) as entry) cfg =
           traces;
         o)
 
-let run ?root ?delay ?adversary ?faults ?reliable ?trace ?engine ?pulses
-    ?strip ?k ?q ?domains entry graph =
+let run ?root ?delay ?adversary ?faults ?reliable ?trace ?pulses ?strip ?k
+    ?q ?domains entry graph =
   execute entry
-    (Run.make ?root ?delay ?adversary ?faults ?reliable ?trace ?engine
-       ?pulses ?strip
+    (Run.make ?root ?delay ?adversary ?faults ?reliable ?trace ?pulses ?strip
        ?k ?q ?domains graph)

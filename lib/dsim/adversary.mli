@@ -135,13 +135,12 @@ val of_spec : string -> (t, string) result
 
     Protocol entry points build their engines internally, so callers
     cannot thread an adversary in by hand. [with_ambient a f] runs [f]
-    with [a] installed domain-locally: every engine created (or reset)
-    inside picks it up, exactly like {!Trace.with_collector}. Scopes
+    with [a] installed domain-locally: every engine created inside
+    picks it up, exactly like {!Trace.with_collector}. Scopes
     nest and are domain-local, so pool workers never share one. *)
 
 val with_ambient : adaptive -> (unit -> 'a) -> 'a
 
 (** The installed adaptive adversary of the current scope, if any
-    (read by [Engine.create]/[Engine.reset] and guarded against by
-    [Pengine]). *)
+    (read by [Engine.create] and guarded against by [Pengine]). *)
 val ambient : unit -> adaptive option

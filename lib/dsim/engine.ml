@@ -1,39 +1,7 @@
-(* The Boxed queue constructor is alert-flagged for everyone else (it is
-   a test oracle, not a production path); the engine itself must of
-   course still implement it. *)
-[@@@alert "-boxed_oracle"]
-
-type 'msg action =
-  | Deliver of { src : int; dst : int; payload : 'msg; epoch : int }
-    (* [epoch] is the receiver's crash epoch at send time: a crash bumps
-       the epoch, so deliveries pending at the crash arrive stale and are
-       dropped — without scanning the event queue at crash time. *)
-  | Local of (unit -> unit)
-
-(* Boxed event records, used only by the historical [Boxed] queue. *)
-type 'msg event = {
-  time : float;
-  seq : int;
-  action : 'msg action;
-}
-
-type edge_lookup =
-  | Indexed
-  | Scan
-
-type event_queue =
-  | Packed
-  | Boxed
-
-type 'msg queue =
-  | Q_packed of 'msg Event_queue.t
-  | Q_boxed of 'msg event Csap_graph.Heap.t
-
 type 'msg t = {
   g : Csap_graph.Graph.t;
-  mutable delay : Delay.t;
-  lookup : edge_lookup;
-  queue : 'msg queue;
+  delay : Delay.t;
+  queue : 'msg Event_queue.t;
   handlers : (src:int -> 'msg -> unit) option array;
   metrics : Metrics.t;
   traffic : int array;
@@ -59,7 +27,7 @@ type 'msg t = {
   mutable seq : int;
   (* Fault layer; [faults = None] keeps the historical reliable-network
      semantics bit-for-bit (down/epoch stay all-false/zero). *)
-  mutable faults : Fault.plan option;
+  faults : Fault.plan option;
   down : bool array;
   epoch : int array;
   restart_handlers : (unit -> unit) option array;
@@ -68,7 +36,7 @@ type 'msg t = {
      route: the observation state below is then never read and only the
      [inflight]/[obs_counts] maintenance sites — each a one-word match
      on [t.adaptive] — are crossed. *)
-  mutable adaptive : Adversary.adaptive option;
+  adaptive : Adversary.adaptive option;
   obs : Adversary.Obs.t;
   (* Deliveries currently queued per directed edge (2 * id + dir);
      maintained only while an adaptive adversary is attached. *)
@@ -78,15 +46,6 @@ type 'msg t = {
   obs_counts : int array;
 }
 
-(* Explicit monomorphic compares: polymorphic [compare] on a float walks
-   the boxed representation through the generic C path (and orders NaN
-   inconsistently with [Float.compare]'s total order). The event times
-   here are validated non-NaN, so this order agrees with the packed
-   queue's strict [(<)] order. *)
-let compare_events a b =
-  let c = Float.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
 (* [Float.max] without the cross-module call (which boxes its result)
    and without the NaN/signed-zero cases: every float on these paths is
    validated non-NaN and non-negative. *)
@@ -94,16 +53,14 @@ let[@inline] fmax (a : float) b = if a >= b then a else b
 
 (* Local (timer / crash) events; setup-path pushes, not the hot path. *)
 let push_local t time f =
-  (match t.queue with
-  | Q_packed q -> Event_queue.push_local q ~time ~seq:t.seq f
-  | Q_boxed q -> Csap_graph.Heap.add q { time; seq = t.seq; action = Local f });
+  Event_queue.push_local t.queue ~time ~seq:t.seq f;
   t.seq <- t.seq + 1
 
 (* Crash-restart events run as ordinary local events: at [at] the vertex
    goes down and its epoch advances (dropping every pending delivery); at
    [restart] it comes back up and its restart handler — looked up at fire
    time, so handlers installed after [create] are seen — runs. Installed
-   at create/reset time, so they take the lowest sequence numbers and win
+   at create time, so they take the lowest sequence numbers and win
    same-time ties against protocol bootstraps. *)
 let install_faults t = function
   | None -> ()
@@ -134,36 +91,21 @@ let resolve_adversary ~delay adversary =
   | Some (Adversary.Adaptive a) -> (delay, Some a)
   | None -> (delay, Adversary.ambient ())
 
-let create ?(delay = Delay.Exact) ?adversary ?faults ?(edge_lookup = Indexed)
-    ?(event_queue = Packed) g =
+let create ?(delay = Delay.Exact) ?adversary ?faults g =
   let m = Csap_graph.Graph.m g in
-  let queue =
-    match event_queue with
-    | Packed ->
-      (* Pre-sized from the edge count (capped — growth is geometric
-         and amortised-free anyway) so steady-state floods never
-         grow the heap mid-run. *)
-      Q_packed (Event_queue.create ~capacity:(max 16 (min (2 * m) 65536)) ())
-    | Boxed -> Q_boxed (Csap_graph.Heap.create ~cmp:compare_events)
-  in
+  (* Pre-sized from the edge count (capped — growth is geometric and
+     amortised-free anyway) so steady-state floods never grow the heap
+     mid-run. *)
+  let queue = Event_queue.create ~capacity:(max 16 (min (2 * m) 65536)) () in
   let metrics = Metrics.create () in
   let clock = Array.make 1 0.0 in
   let send_counts = Array.make (2 * m) 0 in
   let inflight = Array.make (2 * m) 0 in
   let obs_counts = Array.make 1 0 in
-  let queue_size () =
-    match queue with
-    | Q_packed q -> Event_queue.size q
-    | Q_boxed q -> Csap_graph.Heap.size q
-  in
+  let queue_size () = Event_queue.size queue in
   let queue_min () =
-    match queue with
-    | Q_packed q ->
-      if Event_queue.is_empty q then Float.nan else (Event_queue.times q).(0)
-    | Q_boxed q -> (
-      match Csap_graph.Heap.peek_min q with
-      | Some e -> e.time
-      | None -> Float.nan)
+    if Event_queue.is_empty queue then Float.nan
+    else (Event_queue.times queue).(0)
   in
   let obs =
     Adversary.Obs.make ~m ~clock ~inflight ~sent:send_counts
@@ -175,7 +117,6 @@ let create ?(delay = Delay.Exact) ?adversary ?faults ?(edge_lookup = Indexed)
     {
       g;
       delay;
-      lookup = edge_lookup;
       queue;
       handlers = Array.make (Csap_graph.Graph.n g) None;
       metrics;
@@ -200,42 +141,6 @@ let create ?(delay = Delay.Exact) ?adversary ?faults ?(edge_lookup = Indexed)
   install_faults t faults;
   t
 
-(* Rewinds the engine to its just-created state without reallocating any
-   of the per-vertex / per-edge arrays (handlers, traffic, FIFO stamps)
-   or shedding the event queue's grown capacity — multi-seed trial loops
-   reuse one engine per instance instead of rebuilding O(n + m) state
-   per trial. *)
-let reset ?delay ?adversary ?faults t =
-  (match delay with Some d -> t.delay <- d | None -> ());
-  (* Mirrors [create]: an explicit adversary or an ambient adaptive one
-     is installed; otherwise the engine comes back oblivious (adversary
-     state never leaks between trials). *)
-  let delay', adaptive = resolve_adversary ~delay:t.delay adversary in
-  t.delay <- delay';
-  t.adaptive <- adaptive;
-  Array.fill t.inflight 0 (Array.length t.inflight) 0;
-  t.obs_counts.(0) <- 0;
-  (match t.queue with
-  | Q_packed q -> Event_queue.clear q
-  | Q_boxed q -> Csap_graph.Heap.clear q);
-  Array.fill t.handlers 0 (Array.length t.handlers) None;
-  Metrics.reset t.metrics;
-  Array.fill t.traffic 0 (Array.length t.traffic) 0;
-  Array.fill t.last_delivery 0 (Array.length t.last_delivery) 0.0;
-  Array.fill t.send_counts 0 (Array.length t.send_counts) 0;
-  Array.fill t.deliver_counts 0 (Array.length t.deliver_counts) 0;
-  (match t.trace with Some tr -> Trace.clear tr | None -> ());
-  t.clock.(0) <- 0.0;
-  t.seq <- 0;
-  (* Fault state never leaks between trials: the plan, down flags, crash
-     epochs and restart handlers are all cleared; [?faults] installs a
-     fresh plan (and its crash events) for the next trial. *)
-  t.faults <- faults;
-  Array.fill t.down 0 (Array.length t.down) false;
-  Array.fill t.epoch 0 (Array.length t.epoch) 0;
-  Array.fill t.restart_handlers 0 (Array.length t.restart_handlers) None;
-  install_faults t faults
-
 let graph t = t.g
 let now t = t.clock.(0)
 
@@ -248,11 +153,6 @@ let set_handler t v f = t.handlers.(v) <- Some f
 let set_restart_handler t v f = t.restart_handlers.(v) <- Some f
 let is_down t v = t.down.(v)
 let faults t = t.faults
-
-let queue_empty t =
-  match t.queue with
-  | Q_packed q -> Event_queue.is_empty q
-  | Q_boxed q -> Csap_graph.Heap.is_empty q
 
 let trace_send_kind t kind ~id ~dir ~nth ~src ~dst ~delay =
   match t.trace with
@@ -297,21 +197,11 @@ let[@inline never] invalid_sample t id =
        "Engine.send: delay model produced invalid delay %g on edge %d"
        t.fscratch.(0) id)
 
-(* Deliver push on either queue backend; the cold paths (duplicates) use
-   this, the hot path inlines the packed case to keep [arrival]
-   unboxed. *)
-let push_deliver_any t ~time ~src ~dst payload =
-  (match t.queue with
-  | Q_packed q ->
-    Event_queue.push_deliver q ~time ~seq:t.seq ~src ~dst
-      ~epoch:t.epoch.(dst) payload
-  | Q_boxed q ->
-    Csap_graph.Heap.add q
-      {
-        time;
-        seq = t.seq;
-        action = Deliver { src; dst; payload; epoch = t.epoch.(dst) };
-      });
+(* Deliver push for the cold paths (duplicates); the hot path hands the
+   arrival over through the FIFO-stamp column to keep it unboxed. *)
+let push_deliver t ~time ~src ~dst payload =
+  Event_queue.push_deliver t.queue ~time ~seq:t.seq ~src ~dst
+    ~epoch:t.epoch.(dst) payload;
   t.seq <- t.seq + 1
 
 (* Adaptive consult, out of line: the decision procedure reads the
@@ -331,11 +221,7 @@ let[@inline never] note_enqueue t ~slot =
    and the delivered total advances for real deliveries. Runs before the
    handler, so the handler's own sends observe up-to-date state. *)
 let[@inline never] note_delivery t ~dropped ~src ~dst =
-  let id =
-    match t.lookup with
-    | Indexed -> Csap_graph.Graph.edge_id_between t.g src dst
-    | Scan -> Csap_graph.Graph.edge_id_between_scan t.g src dst
-  in
+  let id = Csap_graph.Graph.edge_id_between t.g src dst in
   let e = Csap_graph.Graph.edge t.g id in
   let dir = if src = e.Csap_graph.Graph.u then 0 else 1 in
   let slot = (2 * id) + dir in
@@ -345,11 +231,7 @@ let[@inline never] note_delivery t ~dropped ~src ~dst =
 let send t ~src ~dst payload =
   (* The per-message hot path: an O(1)-amortised indexed lookup (no
      allocation) instead of scanning the adjacency list of [src]. *)
-  let id =
-    match t.lookup with
-    | Indexed -> Csap_graph.Graph.edge_id_between t.g src dst
-    | Scan -> Csap_graph.Graph.edge_id_between_scan t.g src dst
-  in
+  let id = Csap_graph.Graph.edge_id_between t.g src dst in
   if id < 0 then
     invalid_arg
       (Printf.sprintf "Engine.send: no edge between %d and %d" src dst);
@@ -405,23 +287,12 @@ let send t ~src ~dst payload =
       fmax (Array.unsafe_get t.clock 0 +. d) (Array.unsafe_get t.last_delivery slot)
     in
     Array.unsafe_set t.last_delivery slot arrival;
-    (match t.queue with
-    | Q_packed q ->
-      (* Zero heap words: six unboxed row writes into the SOA queue. The
-         arrival crosses into the queue via the FIFO-stamp column just
-         written — a float argument would be boxed ([-opaque] blocks
-         cross-module inlining). *)
-      Event_queue.push_deliver_from q ~times:t.last_delivery ~at:slot
-        ~seq:t.seq ~src ~dst ~epoch:(Array.unsafe_get t.epoch dst) payload
-    | Q_boxed q ->
-      (* The oracle path re-reads the FIFO stamp (= [arrival]) so the
-         hot path's unboxed arrival never escapes into the record. *)
-      Csap_graph.Heap.add q
-        {
-          time = t.last_delivery.(slot);
-          seq = t.seq;
-          action = Deliver { src; dst; payload; epoch = t.epoch.(dst) };
-        });
+    (* Zero heap words: six unboxed row writes into the SOA queue. The
+       arrival crosses into the queue via the FIFO-stamp column just
+       written — a float argument would be boxed ([-opaque] blocks
+       cross-module inlining). *)
+    Event_queue.push_deliver_from t.queue ~times:t.last_delivery ~at:slot
+      ~seq:t.seq ~src ~dst ~epoch:(Array.unsafe_get t.epoch dst) payload;
     t.seq <- t.seq + 1;
     (match t.adaptive with
     | None -> ()
@@ -441,7 +312,7 @@ let send t ~src ~dst payload =
       trace_send_kind t Trace.Dup ~id ~dir ~nth ~src ~dst ~delay:d2;
       let arrival2 = Float.max (t.clock.(0) +. d2) t.last_delivery.(slot) in
       t.last_delivery.(slot) <- arrival2;
-      push_deliver_any t ~time:arrival2 ~src ~dst payload;
+      push_deliver t ~time:arrival2 ~src ~dst payload;
       (match t.adaptive with
       | None -> ()
       | Some _ -> note_enqueue t ~slot)
@@ -454,38 +325,15 @@ let schedule t ~delay f =
          delay);
   push_local t (t.clock.(0) +. delay) f
 
-let quiescent t = queue_empty t
+let quiescent t = Event_queue.is_empty t.queue
 
 let[@inline never] no_handler src dst =
   failwith
     (Printf.sprintf "Engine: no handler at vertex %d (message sent from %d)"
        dst src)
 
-(* ---- the boxed oracle loop --------------------------------------------- *)
-(* Kept verbatim in spirit from the historical generic loop; it dispatches
-   boxed [action] values and allocates freely — the QCheck identity suite
-   runs it against the packed loop below. *)
-
-let dispatch t = function
-  | Local f -> f ()
-  | Deliver { src; dst; payload; epoch = _ } -> (
-    match t.handlers.(dst) with
-    | Some f -> f ~src payload
-    | None -> no_handler src dst)
-
-(* True when a popped delivery is lost to a crash: the receiver is down
-   right now, or crashed (and so shed its pending deliveries) after the
-   message was sent. *)
-let delivery_dropped t = function
-  | Deliver { dst; epoch; _ } -> t.down.(dst) || epoch <> t.epoch.(dst)
-  | Local _ -> false
-
 let trace_deliver t tr seq ~dropped ~src ~dst =
-  let id =
-    match t.lookup with
-    | Indexed -> Csap_graph.Graph.edge_id_between t.g src dst
-    | Scan -> Csap_graph.Graph.edge_id_between_scan t.g src dst
-  in
+  let id = Csap_graph.Graph.edge_id_between t.g src dst in
   let e = Csap_graph.Graph.edge t.g id in
   let dir = if src = e.Csap_graph.Graph.u then 0 else 1 in
   let slot = (2 * id) + dir in
@@ -524,55 +372,7 @@ let trace_local t tr seq =
       delay = 0.0;
     }
 
-let record_dispatch t tr seq ~dropped action =
-  match action with
-  | Deliver { src; dst; _ } -> trace_deliver t tr seq ~dropped ~src ~dst
-  | Local _ -> trace_local t tr seq
-
-let run_boxed ~until ~max_events ~comm_budget t q =
-  let processed = ref 0 in
-  let continue = ref true in
-  let limit_reached = ref false in
-  while
-    !continue && !processed < max_events
-    && t.metrics.Metrics.weighted_comm < comm_budget
-  do
-    if Csap_graph.Heap.is_empty q then begin
-      limit_reached := true;
-      continue := false
-    end
-    else
-      let ev =
-        match Csap_graph.Heap.peek_min q with
-        | Some e -> e
-        | None -> assert false
-      in
-      match until with
-      | Some limit when ev.time > limit ->
-        limit_reached := true;
-        continue := false
-      | _ ->
-        ignore (Csap_graph.Heap.pop_min q);
-        t.clock.(0) <- Float.max t.clock.(0) ev.time;
-        let dropped = delivery_dropped t ev.action in
-        (match (t.adaptive, ev.action) with
-        | Some _, Deliver { src; dst; _ } -> note_delivery t ~dropped ~src ~dst
-        | _ -> ());
-        (match t.trace with
-        | Some tr -> record_dispatch t tr ev.seq ~dropped ev.action
-        | None -> ());
-        if not dropped then dispatch t ev.action;
-        incr processed;
-        t.metrics.Metrics.events <- t.metrics.Metrics.events + 1;
-        t.metrics.Metrics.completion_time <- t.clock.(0);
-        (match ev.action with
-        | Deliver _ when not dropped ->
-          t.metrics.Metrics.last_delivery_time <- t.clock.(0)
-        | Deliver _ | Local _ -> ())
-  done;
-  !limit_reached
-
-(* ---- the packed hot loop ------------------------------------------------ *)
+(* ---- the event loop --------------------------------------------------- *)
 (* Specialised to the SOA queue: the minimum is read field-by-field and
    dropped in place, so processing a delivery allocates nothing — no
    popped event value, no action match, no boxed clock store. The two
@@ -580,7 +380,8 @@ let run_boxed ~until ~max_events ~comm_budget t q =
    one-field float records, unboxed stores) and flush into the mixed
    [Metrics.t] record once, after the loop. *)
 
-let run_packed ~until ~max_events ~comm_budget t q =
+let run_loop ~until ~max_events ~comm_budget t =
+  let q = t.queue in
   let processed = ref 0 in
   let continue = ref true in
   let limit_reached = ref false in
@@ -683,11 +484,7 @@ let run ?until ?(max_events = max_int) ?(comm_budget = max_int) t =
   let g0 = Gc.quick_stat () in
   let w0 = Gc.minor_words () in
   let events0 = t.metrics.Metrics.events in
-  let limit_reached =
-    match t.queue with
-    | Q_packed q -> run_packed ~until ~max_events ~comm_budget t q
-    | Q_boxed q -> run_boxed ~until ~max_events ~comm_budget t q
-  in
+  let limit_reached = run_loop ~until ~max_events ~comm_budget t in
   (* Sliced runs compose: after [run ~until:t1] the clock sits at [t1]
      even on quiescence (so relative timers scheduled between slices land
      where a continuous run puts them), and a stale [until < now] never

@@ -8,38 +8,18 @@
 
     Costs are accounted per the paper: each send adds [w(e)] communication.
     Per-edge traffic counters support congestion assertions (e.g. the
-    controller's per-edge [O(log^2 c)] overhead). *)
+    controller's per-edge [O(log^2 c)] overhead).
+
+    There is one implementation: an allocation-free loop over the
+    struct-of-arrays {!Event_queue} with the graph's indexed edge
+    lookup. The test suite checks it against an independent boxed
+    reference simulator (the [csap_reference] test library), trace
+    record for trace record. *)
 
 type 'msg t
 
-(** How [send] resolves [(src, dst)] to an edge. [Indexed] (the default)
-    uses the graph's O(1)-amortised edge index; [Scan] is the historical
-    O(degree) adjacency scan, kept so the microbenchmarks can measure the
-    before/after difference on send-heavy workloads. *)
-type edge_lookup =
-  | Indexed
-  | Scan
-
-(** Which priority queue backs the event loop. [Packed] (the default) is
-    the structure-of-arrays heap of {!Event_queue} — pushing or popping
-    a delivery allocates zero heap words; [Boxed] is the historical
-    generic heap over boxed event records, retained {e only} as the
-    test oracle for the QCheck bit-identity suite (and the send-path
-    microbenchmark pair). Both orders are the same total
-    (time, send-order) order, so executions are identical either way.
-    Uses outside [test/] and [bench/] trip the [boxed_oracle] alert. *)
-type event_queue =
-  | Packed
-  | Boxed
-      [@alert
-        boxed_oracle
-          "The Boxed event queue is a test oracle: it allocates per event \
-           and exists only to cross-check the packed SOA queue. Use the \
-           default Packed queue."]
-
-(** [create ?delay ?faults ?edge_lookup ?event_queue g] builds an idle
-    engine over the network [g]; the default delay model is
-    {!Delay.Exact}. [?faults] attaches a {!Fault.plan}: each send is
+(** [create ?delay ?adversary ?faults g] builds an idle engine over the
+    network [g]; the default delay model is {!Delay.Exact}. [?faults] attaches a {!Fault.plan}: each send is
     assigned a disposition (pass / drop / duplicate) by the plan, and the
     plan's crash events are scheduled (see {2:faults Faults} below).
     Without a plan — or under {!Fault.none} — behaviour is bit-identical
@@ -56,31 +36,8 @@ val create :
   ?delay:Delay.t ->
   ?adversary:Adversary.t ->
   ?faults:Fault.plan ->
-  ?edge_lookup:edge_lookup ->
-  ?event_queue:event_queue ->
   Csap_graph.Graph.t ->
   'msg t
-
-(** [reset ?delay ?faults t] rewinds [t] to the state [create] left it
-    in — clock and send counter to zero, metrics and per-edge traffic
-    zeroed, FIFO delivery stamps and per-edge send/delivery ordinals
-    cleared, any attached trace emptied (kept attached), every handler
-    uninstalled and
-    the event queue emptied — without reallocating any per-vertex or
-    per-edge array (the event queue also keeps its grown capacity).
-    [?delay] optionally installs a new delay model, so multi-seed trial
-    loops can reuse one engine per instance, swapping the seeded model
-    each trial. Fault state is never carried across trials: the previous
-    plan, down flags, crash epochs, pending crash events and restart
-    handlers are all cleared, and [?faults] (absent by default — a reset
-    engine is clean) installs a fresh plan. Adversary state follows the
-    same discipline: observation counters are zeroed and the adaptive
-    adversary is dropped unless [?adversary] (or an ambient
-    {!Adversary.with_ambient} scope) installs one. A run after [reset]
-    is indistinguishable from a run on a freshly created engine. *)
-val reset :
-  ?delay:Delay.t -> ?adversary:Adversary.t -> ?faults:Fault.plan ->
-  'msg t -> unit
 
 val graph : 'msg t -> Csap_graph.Graph.t
 

@@ -16,7 +16,7 @@
     reliable-delivery shim hooks it to re-arm retransmission timers and
     run the protocol-supplied [on_restart]).
 
-    Attach a plan with [Engine.create ?faults] / [Engine.reset ?faults].
+    Attach a plan with [Engine.create ?faults].
     A run under {!none} is bit-identical — same metrics, same trace — to
     a run with no plan attached. *)
 

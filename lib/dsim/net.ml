@@ -60,7 +60,9 @@ let make ?reliable:(r = false) ?delay ?faults ?rto ?max_rto g =
 
 let monitor net =
   let restarts = ref 0 in
+  (* One shared counting closure, not one per vertex. *)
+  let count () = incr restarts in
   for v = 0 to Csap_graph.Graph.n net.graph - 1 do
-    net.set_on_restart v (fun () -> incr restarts)
+    net.set_on_restart v count
   done;
   fun () -> { retransmissions = net.retransmissions (); restarts = !restarts }

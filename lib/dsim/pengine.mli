@@ -86,8 +86,8 @@ val run : 'msg t -> int
 
 val reset : ?delay:Delay.t -> 'msg t -> unit
 (** [reset ?delay t] clears handlers, queues, mailboxes, FIFO clamps,
-    send counters and metrics — same contract as {!Engine.reset}; the
-    partition is kept. A new [delay] must be order-independent and
+    send counters and metrics, so the next run is indistinguishable
+    from one on a freshly created engine; the partition is kept. A new [delay] must be order-independent and
     recomputes the lookahead. *)
 
 val metrics : 'msg t -> Metrics.t

@@ -46,12 +46,6 @@ let create ?(capacity = 0) () =
   if capacity < 0 then invalid_arg "Trace.create: negative capacity";
   { capacity; buf = [||]; len = 0; start = 0; dropped = 0 }
 
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) dummy_event;
-  t.len <- 0;
-  t.start <- 0;
-  t.dropped <- 0
-
 let length t = t.len
 let dropped t = t.dropped
 let capacity t = t.capacity

@@ -49,9 +49,6 @@ type t
     replayable). *)
 val create : ?capacity:int -> unit -> t
 
-(** Empty the buffer (capacity and ring/unbounded mode are kept). *)
-val clear : t -> unit
-
 (** Number of events currently held. *)
 val length : t -> int
 

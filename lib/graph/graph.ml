@@ -198,14 +198,6 @@ let m t = Array.length t.edges
 let id t = t.id
 let edges t = t.edges
 let edge t id = t.edges.(id)
-(* Materialised on demand (not cached): the deprecated shim is a cold
-   path, and caching it would cost O(m) boxed tuples on every graph —
-   prohibitive for the streaming million-vertex families. *)
-let neighbors t v =
-  let lo = t.off.(v) in
-  Array.init
-    (t.off.(v + 1) - lo)
-    (fun i -> (t.nbr.(lo + i), t.wt.(lo + i), t.eid.(lo + i)))
 let degree t v = t.off.(v + 1) - t.off.(v)
 
 let csr_offsets t = t.off
@@ -248,8 +240,6 @@ let rec scan_row t v i hi =
   else if t.nbr.(i) = v then t.eid.(i)
   else scan_row t v (i + 1) hi
 
-let edge_id_between_scan t u v = scan_row t v t.off.(u) t.off.(u + 1)
-
 (* Binary search for [v] in [u]'s sorted neighbour row; returns the slot
    in the sorted arrays, or -1. *)
 let sorted_slot t u v =
@@ -268,7 +258,7 @@ let edge_id_between t u v =
   let swap = degree t u > degree t v in
   let a = if swap then v else u in
   let b = if swap then u else v in
-  if degree t a <= small_degree then edge_id_between_scan t a b
+  if degree t a <= small_degree then scan_row t b t.off.(a) t.off.(a + 1)
   else
     let s = sorted_slot t a b in
     if s < 0 then -1 else t.sorted_eid.(s)

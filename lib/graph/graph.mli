@@ -56,23 +56,9 @@ val edges : t -> edge array
 (** [edge t id] is the edge with id [id]. *)
 val edge : t -> int -> edge
 
-(** [neighbors t v] lists [(u, w, edge_id)] for every edge [{v,u}] incident
-    to [v].
-
-    Deprecated compatibility shim over the flat CSR rows, materialised
-    afresh on every call (an O(degree) boxed-tuple allocation — it is no
-    longer cached, so large graphs pay nothing for its existence). New
-    code should use the allocation-free {!iter_neighbors} /
-    {!fold_neighbors}; remaining cold call sites silence the alert
-    explicitly. *)
-val neighbors : t -> int -> (int * int * int) array
-[@@alert
-  deprecated
-    "per-call allocating shim: use iter_neighbors / fold_neighbors instead"]
-
 (** [iter_neighbors t v f] calls [f u w edge_id] for every edge [{v,u}]
-    incident to [v], in the same per-vertex edge-id order {!neighbors}
-    uses. Allocation-free: the loop reads the graph's flat CSR rows. *)
+    incident to [v], in per-vertex edge-id order (the order of [v]'s CSR
+    row). Allocation-free: the loop reads the graph's flat CSR rows. *)
 val iter_neighbors : t -> int -> (int -> int -> int -> unit) -> unit
 
 (** [fold_neighbors t v f init] folds [f acc u w edge_id] over [v]'s
@@ -88,8 +74,10 @@ val degree : t -> int -> int
     The adjacency lives in compressed-sparse-row form: vertex [v]'s
     incident edges occupy slots [csr_offsets t .(v) .. csr_offsets t
     .(v+1) - 1] of the flat parallel arrays below, in per-vertex edge-id
-    order. Exposed for same-repo hot loops (Dijkstra's relaxation scan)
-    and layout tests; the arrays are the graph's own — do not mutate. *)
+    order. Port [i] of [v] — the [i]-th incident edge — is slot
+    [csr_offsets t .(v) + i]. Exposed for same-repo hot loops
+    (Dijkstra's relaxation scan, protocols keeping per-port state) and
+    layout tests; the arrays are the graph's own — do not mutate. *)
 
 (** Row offsets; length [n + 1], with [csr_offsets t .(n) = 2 * m]. *)
 val csr_offsets : t -> int array
@@ -116,13 +104,9 @@ val edge_between : t -> int -> int -> (int * int) option
     simulator's per-message lookup (see [Engine.send]). *)
 val edge_id_between : t -> int -> int -> int
 
-(** The pre-index reference lookup: a linear scan of [u]'s adjacency list,
-    O(degree u). Kept for the before/after microbenchmarks and as a test
-    oracle for the indexed path. *)
-val edge_id_between_scan : t -> int -> int -> int
-
-(** [neighbor_index t u v] is the position of [v] in [neighbors t u], or
-    [-1] when [{u,v}] is not an edge. Same indexed complexity as
+(** [neighbor_index t u v] is the port of [v] at [u] — the position of
+    [v] in [u]'s CSR row, so [csr_neighbors t .(csr_offsets t .(u) + i)
+    = v] — or [-1] when [{u,v}] is not an edge. Same indexed complexity as
     {!edge_between}; used by protocols that keep per-port state. *)
 val neighbor_index : t -> int -> int -> int
 

@@ -56,81 +56,6 @@ let dijkstra g ~src =
   dijkstra_into g ~src ~dist ~parent (Indexed_heap.create n);
   { src; dist; parent }
 
-(* The pre-CSR formulation of [dijkstra_into]: same indexed heap, but the
-   relaxation scan walks the boxed tuple rows of [Graph.neighbors]. Kept
-   as the before side of the CSR microbenchmark and as a test oracle for
-   the flat-row path. *)
-let dijkstra_tuple g ~src =
-  let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let heap = Indexed_heap.create n in
-  dist.(src) <- 0;
-  Indexed_heap.insert heap src 0;
-  let neighbors = (Graph.neighbors [@alert "-deprecated"]) in
-  let rec loop () =
-    let u = Indexed_heap.pop_min heap in
-    if u >= 0 then begin
-      let du = dist.(u) in
-      let nbrs = neighbors g u in
-      for i = 0 to Array.length nbrs - 1 do
-        let v, w, _ = nbrs.(i) in
-        let dv = du + w in
-        if dv < dist.(v) then begin
-          dist.(v) <- dv;
-          parent.(v) <- u;
-          Indexed_heap.push heap v dv
-        end
-        else if dv = dist.(v) && u < parent.(v) then parent.(v) <- u
-      done;
-      loop ()
-    end
-  in
-  loop ();
-  { src; dist; parent }
-
-(* The historical lazy-deletion formulation over the generic {!Heap},
-   kept as a reference: the regression tests check the indexed version
-   against it edge-for-edge, and the microbenchmarks report the
-   before/after speedup. *)
-let dijkstra_lazy g ~src =
-  let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let settled = Array.make n false in
-  let cmp (d1, v1) (d2, v2) =
-    let c = compare d1 d2 in
-    if c <> 0 then c else compare v1 v2
-  in
-  let heap = Heap.create ~cmp in
-  dist.(src) <- 0;
-  Heap.add heap (0, src);
-  let relax u du v w =
-    let dv = du + w in
-    if
-      (not settled.(v))
-      && (dv < dist.(v) || (dv = dist.(v) && u < parent.(v)))
-    then begin
-      dist.(v) <- dv;
-      parent.(v) <- u;
-      Heap.add heap (dv, v)
-    end
-  in
-  let rec loop () =
-    match Heap.pop_min heap with
-    | None -> ()
-    | Some (du, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        assert (du = dist.(u));
-        Graph.iter_neighbors g u (fun v w _ -> relax u du v w);
-        loop ()
-      end
-      else loop ()
-  in
-  loop ();
-  { src; dist; parent }
-
 let bellman_ford g ~src =
   let n = Graph.n g in
   let dist = Array.make n max_int in

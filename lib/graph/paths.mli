@@ -13,19 +13,6 @@ type sssp = {
     heap entries. The relaxation scan reads the graph's flat CSR rows. *)
 val dijkstra : Graph.t -> src:int -> sssp
 
-(** The pre-CSR indexed-heap Dijkstra, walking the boxed tuple rows of
-    [Graph.neighbors]. Kept as the before side of the CSR
-    microbenchmark ([bench_micro]'s "dijkstra n256 tuple" kernel) and as
-    a test oracle: {!dijkstra} must reproduce its [dist] {e and}
-    [parent] arrays exactly. *)
-val dijkstra_tuple : Graph.t -> src:int -> sssp
-
-(** The historical lazy-deletion Dijkstra over the generic {!Heap}. Kept
-    as a reference implementation: regression tests check that
-    {!dijkstra} reproduces its [dist] {e and} [parent] arrays exactly,
-    and the microbenchmarks report the before/after speedup. *)
-val dijkstra_lazy : Graph.t -> src:int -> sssp
-
 (** Bellman-Ford, used as an independent reference in tests; O(nm). *)
 val bellman_ford : Graph.t -> src:int -> sssp
 

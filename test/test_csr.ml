@@ -108,7 +108,8 @@ let prop_dijkstra_matches_tuple =
   QCheck.Test.make ~count:100 ~name:"CSR dijkstra = tuple dijkstra"
     (Gen_qcheck.graph_and_vertex ())
     (fun (g, src) ->
-      let a = P.dijkstra g ~src and b = P.dijkstra_tuple g ~src in
+      let a = P.dijkstra g ~src
+      and b = Csap_reference.Graph_ref.dijkstra_tuple g ~src in
       a.P.dist = b.P.dist && a.P.parent = b.P.parent)
 
 let suite =

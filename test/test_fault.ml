@@ -192,43 +192,6 @@ let test_crash_restart () =
   Alcotest.(check int) "down sender's sends are free" 6
     m.Csap_dsim.Metrics.weighted_comm
 
-let test_reset_clears_fault_state () =
-  (* Engine reused faulty-then-clean: the clean trial must be untouched
-     by the previous plan — same metrics and trace as a fresh engine. *)
-  let g = Gen.grid 3 3 ~w:4 in
-  let faulty =
-    F.seeded ~loss:0.2 ~dup:0.3
-      ~crashes:[ { F.vertex = 4; at = 1.0; restart = 2.0 } ]
-      77
-  in
-  let (reused, fresh), traces =
-    T.with_collector (fun () ->
-        let engine = Csap.Flood.make_engine g in
-        let _faulty_run =
-          Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 3) ~faults:faulty
-            ~engine g ~source:0
-        in
-        let reused =
-          Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 3) ~engine g ~source:0
-        in
-        let fresh =
-          Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 3) g ~source:0
-        in
-        (reused, fresh))
-  in
-  Alcotest.(check bool) "clean-after-faulty measures = fresh clean" true
-    (reused.Csap.Flood.measures = fresh.Csap.Flood.measures);
-  Alcotest.(check bool) "arrivals too" true
-    (reused.Csap.Flood.arrival = fresh.Csap.Flood.arrival);
-  (* Two engines were created (reused + fresh); the reused engine's trace
-     holds the clean run only (reset clears it) and must equal the fresh
-     engine's. *)
-  match traces with
-  | [ reused_tr; fresh_tr ] ->
-    Alcotest.(check bool) "reused engine's clean trace = fresh trace" true
-      (T.equal reused_tr fresh_tr)
-  | l -> Alcotest.failf "expected 2 traces, got %d" (List.length l)
-
 (* ---- faulty replay --------------------------------------------------- *)
 
 let test_faulty_replay () =
@@ -238,22 +201,22 @@ let test_faulty_replay () =
   let delay () = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 13) in
   let r, traces =
     T.with_collector (fun () ->
-        Csap.Flood.run_reliable ~delay:(delay ()) ~faults:(plan ()) g
+        Csap.Flood.run ~delay:(delay ()) ~faults:(plan ()) ~reliable:true g
           ~source:0)
   in
   let tr = List.hd traces in
   let r', traces' =
     T.with_collector (fun () ->
-        Csap.Flood.run_reliable ~delay:(T.recorded tr) ~faults:(plan ()) g
-          ~source:0)
+        Csap.Flood.run ~delay:(T.recorded tr) ~faults:(plan ())
+          ~reliable:true g ~source:0)
   in
   Alcotest.(check bool) "identical trace" true
     (T.equal tr (List.hd traces'));
   Alcotest.(check bool) "identical measures" true
-    (r.Csap.Flood.result.Csap.Flood.measures
-    = r'.Csap.Flood.result.Csap.Flood.measures);
+    (r.Csap.Flood.measures = r'.Csap.Flood.measures);
   Alcotest.(check int) "identical retransmissions"
-    r.Csap.Flood.retransmissions r'.Csap.Flood.retransmissions
+    r.Csap.Flood.transport.Csap_dsim.Net.retransmissions
+    r'.Csap.Flood.transport.Csap_dsim.Net.retransmissions
 
 (* ---- exactly-once FIFO through the shim (qcheck) --------------------- *)
 
@@ -311,10 +274,10 @@ let prop_clean_shim_never_retransmits =
     (Gen_qcheck.graph_and_vertex ~max_n:14 ())
     (fun (g, source) ->
       let r =
-        Csap.Flood.run_reliable ~delay:(Csap_dsim.Delay.seeded source) g
-          ~source
+        Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded source) ~reliable:true
+          g ~source
       in
-      r.Csap.Flood.retransmissions = 0 && r.Csap.Flood.restarts = 0)
+      r.Csap.Flood.transport = Csap_dsim.Net.no_stats)
 
 let suite =
   [
@@ -331,8 +294,6 @@ let suite =
       test_duplicate_delivers_twice_costs_once;
     Alcotest.test_case "crash-restart: down window, epochs, handler" `Quick
       test_crash_restart;
-    Alcotest.test_case "reset clears fault state (faulty-then-clean reuse)"
-      `Quick test_reset_clears_fault_state;
     Alcotest.test_case "faulty execution replays exactly" `Quick
       test_faulty_replay;
     QCheck_alcotest.to_alcotest prop_none_bit_identical;

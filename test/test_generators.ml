@@ -85,7 +85,7 @@ let test_random_geometric_matches_reference () =
             Gen.random_geometric (Csap_graph.Rng.create seed) n ~degree ~scale
           in
           let r =
-            Reference.random_geometric (Csap_graph.Rng.create seed) n ~degree
+            Csap_reference.Graph_ref.random_geometric (Csap_graph.Rng.create seed) n ~degree
               ~scale
           in
           Alcotest.(check bool)

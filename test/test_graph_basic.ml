@@ -88,12 +88,12 @@ let check_index_agrees g =
   let ok = ref true in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
-      let scan = if u = v then -1 else G.edge_id_between_scan g u v in
+      let scan = if u = v then -1 else Csap_reference.Graph_ref.edge_id_scan g u v in
       if G.edge_id_between g u v <> scan then ok := false;
-      (* neighbor_index points back into adj(u). *)
+      (* neighbor_index points back into u's CSR row. *)
       let i = G.neighbor_index g u v in
       if scan >= 0 then begin
-        (* neighbor_index is an offset into adj(u) in iteration order. *)
+        (* neighbor_index is an offset into u's row in iteration order. *)
         let entry = ref None in
         let j = ref 0 in
         G.iter_neighbors g u (fun x _ id ->

@@ -101,7 +101,7 @@ let prop_spt_weight_bound =
    implementation bit for bit — distances AND the parent tie-breaking. *)
 let check_dijkstra_matches_lazy g ~src =
   let a = P.dijkstra g ~src in
-  let b = P.dijkstra_lazy g ~src in
+  let b = Csap_reference.Graph_ref.dijkstra_lazy g ~src in
   a.P.dist = b.P.dist && a.P.parent = b.P.parent
 
 let test_dijkstra_regression_families () =
@@ -145,7 +145,7 @@ let prop_extrema_consistent =
       e.P.diameter = diameter
       && e.P.radius = radius
       && ecc.(e.P.center) = radius
-      && e.P.max_neighbor = (Reference.extrema g).P.max_neighbor)
+      && e.P.max_neighbor = (Csap_reference.Graph_ref.extrema g).P.max_neighbor)
 
 (* One graph of each named family, n in [2, ~300], or a path with
    chords. Uniform-weight
@@ -207,7 +207,7 @@ let prop_extrema_matches_reference =
     family_graph_gen
     (fun spec ->
       let _, g = family_graph spec in
-      P.extrema g = Reference.extrema g)
+      P.extrema g = Csap_reference.Graph_ref.extrema g)
 
 let test_extrema_disconnected () =
   let g = G.create ~n:4 [ (0, 1, 2); (2, 3, 1) ] in

@@ -181,26 +181,6 @@ let test_reliable_under_loss () =
         Alcotest.failf "%s: invariant failed under loss: %s" M.name e)
     covered
 
-(* The flood entry's reusable engine handle is accepted and changes
-   nothing about the result. *)
-let test_engine_reuse () =
-  let g = Gen.grid 3 3 ~w:4 in
-  let entry = P.find_exn "flood" in
-  let (module M : P.S) = entry in
-  Alcotest.(check bool) "flood advertises engine reuse" true
-    M.caps.P.reuses_engine;
-  let engine =
-    match M.make_engine g with
-    | Some h -> h
-    | None -> Alcotest.fail "flood returned no engine"
-  in
-  let fresh = P.run entry g in
-  let reused1 = P.run ~engine entry g in
-  let reused2 = P.run ~engine entry g in
-  Alcotest.(check bool) "reused engine, same measures" true
-    (fresh.P.Outcome.measures = reused1.P.Outcome.measures
-    && reused1.P.Outcome.measures = reused2.P.Outcome.measures)
-
 (* cfg.trace dumps one parseable JSONL trace per engine run. *)
 let test_trace_dump () =
   let g = Gen.complete 4 ~w:3 in
@@ -292,6 +272,5 @@ let suite =
       test_validation;
     Alcotest.test_case "fault-capable entries survive loss" `Quick
       test_reliable_under_loss;
-    Alcotest.test_case "flood engine handle reused" `Quick test_engine_reuse;
     Alcotest.test_case "traces dumped and parseable" `Quick test_trace_dump;
   ]
